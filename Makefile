@@ -11,22 +11,24 @@ vet:
 test: vet
 	go test ./...
 
-# Invariant suite + third-party static analysis (docs/invariants.md).
-# oadb-vet builds from this repo and always runs; staticcheck and
-# govulncheck run when installed (CI installs pinned versions).
+# Formatting gate, invariant suite + third-party static analysis
+# (docs/invariants.md). oadb-vet builds from this repo and always runs;
+# staticcheck and govulncheck run when installed (CI installs pinned
+# versions).
 lint: vet
+	@test -z "$$(gofmt -l .)" || { echo "gofmt needed:"; gofmt -l .; exit 1; }
 	go build -o bin/oadb-vet ./cmd/oadb-vet
 	./bin/oadb-vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; else echo "staticcheck not installed; skipping (CI runs it pinned)"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; else echo "govulncheck not installed; skipping (CI runs it pinned)"; fi
 
 # Race-enabled run of the packages with internal concurrency
-# (morsel-parallel scans, clock scans, txn machinery, group-commit WAL,
+# (morsel-parallel scans, txn machinery, group-commit WAL,
 # the public db cursor layer, the network server and its scheduler).
 # This list is canonical: CI runs this target rather than maintaining
 # its own copy.
 race:
-	go test -race ./db ./internal/storage/colstore ./internal/exec/... ./internal/core ./internal/types ./internal/scan ./internal/sql ./internal/txn ./internal/wal ./internal/sched ./internal/server ./internal/wire ./client
+	go test -race ./db ./internal/storage/colstore ./internal/exec/... ./internal/core ./internal/types ./internal/sql ./internal/txn ./internal/wal ./internal/sched ./internal/server ./internal/wire ./client
 
 # Durability gauntlet: the kill-and-recover fault matrix, torn-tail
 # property tests, and crash-recovery round trips, race-enabled.

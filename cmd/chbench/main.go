@@ -5,8 +5,8 @@
 // each query streams through a db.Rows cursor and repeated statements
 // reuse cached plans — while the OLTP side drives the engine's
 // transactional API directly, exactly the dual-interface deployment the
-// paper's operational-analytics model assumes. It prints the table
-// EXPERIMENTS.md records: transactional throughput and analytic
+// paper's operational-analytics model assumes. It prints the E4 table
+// of docs/experiments.md: transactional throughput and analytic
 // throughput as the analytic thread count grows, per concurrency mode.
 //
 // Usage:

@@ -70,8 +70,7 @@ var ioMethods = map[string]bool{
 
 // ioFuncs are package-level internal/wal functions that perform I/O.
 var ioFuncs = map[string]bool{
-	"ReadSegments": true, "ReplayDir": true, "ReadAll": true,
-	"Replay": true, "OpenLog": true, "Create": true,
+	"ReadSegments": true, "ReplayDir": true, "OpenLog": true,
 }
 
 // netIOMethods are method names that perform socket I/O (or block on a

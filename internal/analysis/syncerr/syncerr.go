@@ -11,7 +11,7 @@
 //   - everywhere inside the durability-owning packages (path suffix
 //     internal/wal, internal/core, or db), whatever the receiver; and
 //   - in any package, when the receiver is a type declared in
-//     internal/wal (File, FS, Log, Writer, ...), core.Engine, or db.DB.
+//     internal/wal (File, FS, Log, ...), core.Engine, or db.DB.
 //
 // A call discards the error when it appears as a bare statement, under
 // defer or go, or with the error result assigned to the blank

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -12,7 +13,12 @@ import (
 
 func loadedEngine(t *testing.T) (*core.Engine, Scale) {
 	t.Helper()
-	e, err := core.NewEngine(core.Options{})
+	return loadedEngineWith(t, core.Options{})
+}
+
+func loadedEngineWith(t *testing.T, opts core.Options) (*core.Engine, Scale) {
+	t.Helper()
+	e, err := core.NewEngine(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,36 +200,67 @@ func TestAnalyticQueriesRun(t *testing.T) {
 	}
 }
 
-func TestQueriesEquivalentAcrossMerge(t *testing.T) {
-	// The whole point of the dual-format engine: analytics give the
-	// same answers before and after delta-merge.
-	e, _ := loadedEngine(t)
-	pre := map[int][]types.Row{}
+// runQueries runs every CH query and returns its rows by query id.
+func runQueries(t *testing.T, e *core.Engine) map[int][]types.Row {
+	t.Helper()
+	out := map[int][]types.Row{}
 	for _, q := range Queries() {
 		rows, err := RunQuery(e, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pre[q.ID] = rows
+		out[q.ID] = rows
 	}
+	return out
+}
+
+// sameResults fails unless got matches want exactly, row by row.
+func sameResults(t *testing.T, what string, want, got map[int][]types.Row) {
+	t.Helper()
+	for _, q := range Queries() {
+		rows, pre := got[q.ID], want[q.ID]
+		if len(rows) != len(pre) {
+			t.Fatalf("Q%d rows changed %s: %d vs %d", q.ID, what, len(pre), len(rows))
+		}
+		for i := range rows {
+			if types.CompareKeys(rows[i], pre[i]) != 0 {
+				t.Fatalf("Q%d row %d changed %s:\n pre: %v\npost: %v", q.ID, i, what, pre[i], rows[i])
+			}
+		}
+	}
+}
+
+func mergeAll(t *testing.T, e *core.Engine) {
+	t.Helper()
 	for name := range Schemas() {
 		if _, err := e.Merge(name); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, q := range Queries() {
-		rows, err := RunQuery(e, q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != len(pre[q.ID]) {
-			t.Fatalf("Q%d rows changed across merge: %d vs %d", q.ID, len(pre[q.ID]), len(rows))
-		}
-		for i := range rows {
-			if types.CompareKeys(rows[i], pre[q.ID][i]) != 0 {
-				t.Fatalf("Q%d row %d changed across merge:\n pre: %v\npost: %v", q.ID, i, pre[q.ID][i], rows[i])
-			}
-		}
+}
+
+func TestQueriesEquivalentAcrossMerge(t *testing.T) {
+	// The whole point of the dual-format engine: analytics give the
+	// same answers before and after delta-merge.
+	e, _ := loadedEngine(t)
+	pre := runQueries(t, e)
+	mergeAll(t, e)
+	sameResults(t, "across merge", pre, runQueries(t, e))
+}
+
+// TestQueriesEquivalentAcrossParallelism: results, float SUM and AVG
+// included, depend only on the data — not on how many workers scanned
+// it, before or after the merge.
+func TestQueriesEquivalentAcrossParallelism(t *testing.T) {
+	e1, _ := loadedEngineWith(t, core.Options{Parallelism: 1})
+	want := runQueries(t, e1)
+	mergeAll(t, e1)
+	sameResults(t, "across merge at parallelism 1", want, runQueries(t, e1))
+	for _, p := range []int{2, 8} {
+		e, _ := loadedEngineWith(t, core.Options{Parallelism: p})
+		sameResults(t, fmt.Sprintf("at parallelism %d", p), want, runQueries(t, e))
+		mergeAll(t, e)
+		sameResults(t, fmt.Sprintf("across merge at parallelism %d", p), want, runQueries(t, e))
 	}
 }
 

@@ -56,6 +56,14 @@ func TestDirRoundTrip(t *testing.T) {
 	})
 	mustExec(t, e, func(tx *Tx) error { return tx.Update("items", key(3), row(3, "a", 333)) })
 	mustExec(t, e, func(tx *Tx) error { return tx.Delete("items", key(7)) })
+	// An aborted transaction leaves no trace in the log.
+	tx := e.Begin()
+	if err := tx.Insert("items", row(50, "x", 50)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.Abort(); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +81,9 @@ func TestDirRoundTrip(t *testing.T) {
 	}
 	if _, ok := got[7]; ok {
 		t.Fatal("delete lost: id 7 still present")
+	}
+	if _, ok := got[50]; ok {
+		t.Fatal("aborted insert recovered: id 50 present")
 	}
 	// And the recovered engine accepts new writes.
 	mustExec(t, e2, func(tx *Tx) error { return tx.Insert("items", row(100, "b", 1)) })
@@ -163,52 +174,31 @@ func TestDirCheckpointTruncatesAndRecovers(t *testing.T) {
 	mustExec(t, e2, func(tx *Tx) error { return tx.Insert("items", row(200, "c", 1)) })
 }
 
-// TestRecoverLegacyAtomicGrouping: a legacy WAL transaction's records
-// are applied through one engine transaction, and transactions with no
-// COMMIT record are discarded wholesale.
-func TestRecoverLegacyAtomicGrouping(t *testing.T) {
-	path := t.TempDir() + "/wal.log"
-	w, err := wal.Create(path, wal.Options{})
+// TestDirRecoverUnknownTable: a log record against a table that
+// neither the checkpoint nor a CREATE_TABLE record defines is a
+// structured error, not a silent skip. A Dir log carries its own
+// catalog, so only a damaged log can reach this.
+func TestDirRecoverUnknownTable(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.OpenLog(dir, wal.LogOptions{Mode: wal.SyncSync})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Txn 1: two inserts + commit. Txn 2: one insert, no commit (crash).
-	w.Append(
-		wal.Record{TxnID: 1, Kind: wal.KindInsert, Table: "items", Row: row(1, "a", 1)},
-		wal.Record{TxnID: 1, Kind: wal.KindInsert, Table: "items", Row: row(2, "a", 2)},
-		wal.Record{TxnID: 1, Kind: wal.KindCommit},
-		wal.Record{TxnID: 2, Kind: wal.KindInsert, Table: "items", Row: row(3, "a", 3)},
-	)
-	w.Close()
-
-	e, _ := NewEngine(Options{})
-	defer e.Close()
-	if _, err := e.CreateTable("items", testSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Recover(path); err != nil {
-		t.Fatal(err)
-	}
-	got := scanIDs(t, e, "items")
-	if len(got) != 2 {
-		t.Fatalf("recovered %d rows, want 2 (txn 2 had no COMMIT): %v", len(got), got)
-	}
-}
-
-// TestRecoverLegacyUnknownTable: a record against a missing table is a
-// structured error, not a silent skip.
-func TestRecoverLegacyUnknownTable(t *testing.T) {
-	path := t.TempDir() + "/wal.log"
-	w, _ := wal.Create(path, wal.Options{})
-	w.Append(
+	if _, err := l.Append(
 		wal.Record{TxnID: 1, Kind: wal.KindInsert, Table: "ghost", Row: row(1, "a", 1)},
 		wal.Record{TxnID: 1, Kind: wal.KindCommit},
-	)
-	w.Close()
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	e, _ := NewEngine(Options{})
-	defer e.Close()
-	err := e.Recover(path)
+	e, err := NewEngine(Options{Dir: dir})
+	if err == nil {
+		e.Close()
+		t.Fatal("recovery over a record for an undefined table succeeded")
+	}
 	if !errors.Is(err, ErrRecoverUnknownTable) {
 		t.Fatalf("want ErrRecoverUnknownTable, got %v", err)
 	}
@@ -218,39 +208,6 @@ func TestRecoverLegacyUnknownTable(t *testing.T) {
 	}
 	if re.Table != "ghost" || re.TxnID != 1 {
 		t.Fatalf("RecoverError fields: %+v", re)
-	}
-}
-
-// TestRecoverLegacyNoReappend: recovering into an engine that has a
-// live legacy WAL must not re-log the replayed records.
-func TestRecoverLegacyNoReappend(t *testing.T) {
-	dir := t.TempDir()
-	src := dir + "/src.log"
-	w, _ := wal.Create(src, wal.Options{})
-	w.Append(
-		wal.Record{TxnID: 1, Kind: wal.KindInsert, Table: "items", Row: row(1, "a", 1)},
-		wal.Record{TxnID: 1, Kind: wal.KindCommit},
-	)
-	w.Close()
-
-	live := dir + "/live.log"
-	e, err := NewEngine(Options{WALPath: live})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.CreateTable("items", testSchema()); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Recover(src); err != nil {
-		t.Fatal(err)
-	}
-	e.Close()
-	recs, err := wal.ReadAll(live)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Fatalf("recovery re-appended %d records to the live WAL", len(recs))
 	}
 }
 

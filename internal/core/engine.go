@@ -64,7 +64,7 @@ type Options struct {
 	// Dir, when set, enables full durability: a segmented group-commit
 	// WAL plus checkpoints live in this directory, and opening an
 	// existing directory recovers the database (last checkpoint + WAL
-	// tail). Dir and WALPath are mutually exclusive.
+	// tail). Without Dir the engine is in-memory only.
 	Dir string
 	// Sync selects the commit durability mode for Dir-based logging
 	// (default SyncGroup: commits wait for a batched fsync).
@@ -78,11 +78,6 @@ type Options struct {
 	// FS overrides the filesystem beneath Dir-based durability (fault
 	// injection in tests). Nil means the real filesystem.
 	FS wal.FS
-	// WALPath, when set, enables legacy single-file write-ahead logging
-	// to this file. Superseded by Dir.
-	WALPath string
-	// WALSync forces fsync per commit (legacy WALPath logging only).
-	WALSync bool
 	// MergeThreshold is the delta live-row count that triggers an
 	// automatic merge when AutoMerge runs (default 64k rows).
 	MergeThreshold int
@@ -110,8 +105,6 @@ type Engine struct {
 	// creating reserves table names between the duplicate check and the
 	// publish in CreateTable, whose durability wait runs outside e.mu.
 	creating map[string]bool
-
-	wal *wal.Writer
 
 	// Dir-based durability state. log is the segmented group-commit WAL;
 	// fs the (injectable) filesystem beneath it. commitMu serializes LSN
@@ -169,21 +162,10 @@ func NewEngine(opts Options) (*Engine, error) {
 		tables:   make(map[string]*Table),
 		creating: make(map[string]bool),
 	}
-	if opts.Dir != "" && opts.WALPath != "" {
-		return nil, errors.New("core: Options.Dir and Options.WALPath are mutually exclusive")
-	}
 	if opts.Dir != "" {
 		if err := e.openDir(); err != nil {
 			return nil, err
 		}
-		return e, nil
-	}
-	if opts.WALPath != "" {
-		w, err := wal.Create(opts.WALPath, wal.Options{Sync: opts.WALSync})
-		if err != nil {
-			return nil, err
-		}
-		e.wal = w
 	}
 	return e, nil
 }
@@ -201,13 +183,8 @@ func (e *Engine) Close() error {
 		e.daemonStop = nil
 		e.daemonMu.Unlock()
 		e.daemonWG.Wait()
-		if e.wal != nil {
-			e.closeErr = e.wal.Close()
-		}
 		if e.log != nil {
-			if err := e.log.Close(); err != nil && e.closeErr == nil {
-				e.closeErr = err
-			}
+			e.closeErr = e.log.Close()
 		}
 	})
 	return e.closeErr
@@ -330,10 +307,9 @@ func (e *Engine) Tables() []string {
 }
 
 // ErrRecoverUnknownTable is returned (wrapped in a *RecoverError) when
-// a WAL record references a table the engine does not have. Legacy
-// single-file logs do not record the catalog, so the caller must create
-// tables before recovering; Dir-based logs record CREATE TABLE and
-// never hit this.
+// a WAL record references a table the engine does not have. A Dir log
+// carries its own catalog (CREATE_TABLE records and checkpoint
+// snapshots), so only a damaged log can hit this.
 var ErrRecoverUnknownTable = errors.New("core: recover: unknown table")
 
 // RecoverError reports where a recovery replay failed.
@@ -352,51 +328,9 @@ func (e *RecoverError) Error() string {
 // Unwrap exposes the cause for errors.Is/As.
 func (e *RecoverError) Unwrap() error { return e.Err }
 
-// Recover replays a legacy single-file WAL into the engine. Records are
-// grouped by their original transaction and applied atomically: each
-// logged transaction's writes go through one engine transaction,
-// committed when its COMMIT record is reached in log order (uncommitted
-// and aborted transactions are filtered by wal.Replay). Tables must
-// already exist — legacy logs do not record the catalog — and a record
-// against a missing table fails recovery with a *RecoverError wrapping
-// ErrRecoverUnknownTable rather than silently skipping data. Redo
-// logging is suspended for the replayed transactions, so recovering
-// into an engine with a live WAL does not re-append the records it just
-// read.
-func (e *Engine) Recover(walPath string) error {
-	recs, err := wal.ReadAll(walPath)
-	if err != nil {
-		return err
-	}
-	committed := make(map[uint64]bool)
-	for _, r := range recs {
-		if r.Kind == wal.KindCommit {
-			committed[r.TxnID] = true
-		}
-	}
-	e.recovering.Store(true)
-	defer e.recovering.Store(false)
-	txs := make(map[uint64]*Tx)
-	defer func() {
-		// Abort any transactions left open by a mid-replay failure.
-		for _, tx := range txs {
-			_ = tx.Abort()
-		}
-	}()
-	for _, r := range recs {
-		if r.Kind != wal.KindCreateTable && !committed[r.TxnID] {
-			continue
-		}
-		if err := e.applyRecovered(txs, r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // applyRecovered routes one replayed WAL record into the per-TxnID
 // transaction map: data records accumulate in their transaction, COMMIT
-// records commit it. Used by both legacy Recover and Dir-based openDir.
+// records commit it. openDir replays the log tail through it.
 func (e *Engine) applyRecovered(txs map[uint64]*Tx, r wal.Record) error {
 	fail := func(err error) error {
 		return &RecoverError{LSN: r.LSN, TxnID: r.TxnID, Table: r.Table, Err: err}
@@ -531,15 +465,6 @@ func (t *Tx) Commit() (uint64, error) {
 		}
 		return ts, nil
 	}
-	if e.wal != nil && len(t.walRecs) > 0 {
-		recs := make([]wal.Record, 0, len(t.walRecs)+1)
-		recs = append(recs, t.walRecs...)
-		recs = append(recs, wal.Record{TxnID: t.inner.ID, Kind: wal.KindCommit})
-		if _, err := e.wal.Append(recs...); err != nil {
-			_ = t.inner.Abort()
-			return 0, err
-		}
-	}
 	return t.inner.Commit()
 }
 
@@ -582,7 +507,7 @@ func (t *Tx) lock2PLWrite(tbl *Table, key types.Row) error {
 // replays suspend logging: re-appending replayed records would grow
 // the live log on every restart.
 func (t *Tx) logWrite(kind wal.Kind, table string, row types.Row) {
-	if (t.engine.wal == nil && t.engine.log == nil) || t.engine.recovering.Load() {
+	if t.engine.log == nil || t.engine.recovering.Load() {
 		return
 	}
 	t.walRecs = append(t.walRecs, wal.Record{TxnID: t.inner.ID, Kind: kind, Table: table, Row: row.Clone()})

@@ -46,7 +46,7 @@ type AggSpec struct {
 type aggState struct {
 	count int64
 	sumI  int64
-	sumF  float64
+	sumF  floatSum
 	isF   bool
 	min   types.Value
 	max   types.Value
@@ -61,10 +61,9 @@ func (a *aggState) add(v types.Value) {
 	switch v.Typ {
 	case types.Float64:
 		a.isF = true
-		a.sumF += v.F
+		a.sumF.add(v.F)
 	case types.Int64, types.Bool:
 		a.sumI += v.I
-		a.sumF += float64(v.I)
 	}
 	if !a.seen {
 		a.min, a.max = v, v
@@ -88,7 +87,7 @@ func (a *aggState) result(f AggFunc, argType types.Type) types.Value {
 			return types.NewNull(argType)
 		}
 		if a.isF || argType == types.Float64 {
-			return types.NewFloat(a.sumF)
+			return types.NewFloat(a.floatTotal())
 		}
 		return types.NewInt(a.sumI)
 	case AggMin:
@@ -105,10 +104,25 @@ func (a *aggState) result(f AggFunc, argType types.Type) types.Value {
 		if a.count == 0 {
 			return types.NewNull(types.Float64)
 		}
-		return types.NewFloat(a.sumF / float64(a.count))
+		if a.isF {
+			return types.NewFloat(a.floatTotal() / float64(a.count))
+		}
+		return types.NewFloat(float64(a.sumI) / float64(a.count))
 	default:
 		return types.NewNull(argType)
 	}
+}
+
+// floatTotal is the float sum of every value added: the exact float
+// sum plus the integer sum, rounded once.
+func (a *aggState) floatTotal() float64 {
+	if a.sumI == 0 {
+		return a.sumF.value()
+	}
+	var s floatSum
+	s.merge(&a.sumF)
+	s.add(float64(a.sumI))
+	return s.value()
 }
 
 // HashAggregate groups rows by key expressions and computes aggregates.

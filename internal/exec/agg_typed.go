@@ -44,7 +44,7 @@ func (st *typedAggState) result(f AggFunc, argType types.Type) types.Value {
 			return types.NewNull(argType)
 		}
 		if isF {
-			return types.NewFloat(st.sumF)
+			return types.NewFloat(st.sumF.value())
 		}
 		return types.NewInt(st.sumI)
 	case AggMin:
@@ -76,7 +76,7 @@ func (st *typedAggState) result(f AggFunc, argType types.Type) types.Value {
 			return types.NewNull(types.Float64)
 		}
 		if isF {
-			return types.NewFloat(st.sumF / float64(st.count))
+			return types.NewFloat(st.sumF.value() / float64(st.count))
 		}
 		return types.NewFloat(float64(st.sumI) / float64(st.count))
 	default:
@@ -263,7 +263,7 @@ func (t *intGroupTable) grow() {
 func (st *typedAggState) merge(o *typedAggState) {
 	st.count += o.count
 	st.sumI += o.sumI
-	st.sumF += o.sumF
+	st.sumF.merge(&o.sumF)
 	if !o.seen {
 		return
 	}
@@ -338,9 +338,8 @@ func (h *HashAggregate) typedGlobal(plan []typedAggSpec) (*types.Batch, error) {
 
 // typedGlobalParallel is typedGlobal with the drain fanned out over the
 // pipeline's morsel workers: each worker folds its batches into private
-// states and the partials merge once at the breaker. Float sums merge
-// in worker order, so results can differ from the serial drain in the
-// last ULPs (the usual parallel-aggregation caveat).
+// states and the partials merge once at the breaker. Float sums are
+// exact until read, so the result matches the serial drain bit for bit.
 func (h *HashAggregate) typedGlobalParallel(p *Pipeline, plan []typedAggSpec) (*types.Batch, error) {
 	partials := make([][]typedAggState, p.Workers())
 	err := p.ForEach(func(w int, b *types.Batch) error {

@@ -18,7 +18,7 @@ import (
 type typedAggState struct {
 	count      int64
 	sumI       int64
-	sumF       float64
+	sumF       floatSum
 	minI, maxI int64
 	minF, maxF float64
 	seen       bool
@@ -116,21 +116,21 @@ func minMaxIntKernel(vec *types.Vector, sel []int, st *typedAggState) {
 }
 
 // sumFloatKernel accumulates COUNT and SUM over a float64 vector. The
-// sum folds into the state value-by-value (no batch-local partial) so
-// the result is independent of how rows are batched — a query must
-// produce bit-identical sums before and after a delta merge.
+// sum is exact (floatSum), so the result is independent of how rows are
+// batched, laid out or split across workers — a query must produce
+// bit-identical sums before and after a delta merge.
 func sumFloatKernel(vec *types.Vector, sel []int, st *typedAggState) {
 	vals := vec.Floats
 	if !vec.HasNulls() {
 		if sel == nil {
 			for _, v := range vals {
-				st.sumF += v
+				st.sumF.add(v)
 			}
 			st.count += int64(len(vals))
 			return
 		}
 		for _, i := range sel {
-			st.sumF += vals[i]
+			st.sumF.add(vals[i])
 		}
 		st.count += int64(len(sel))
 		return
@@ -140,7 +140,7 @@ func sumFloatKernel(vec *types.Vector, sel []int, st *typedAggState) {
 			if vec.IsNull(i) {
 				continue
 			}
-			st.sumF += v
+			st.sumF.add(v)
 			st.count++
 		}
 		return
@@ -149,7 +149,7 @@ func sumFloatKernel(vec *types.Vector, sel []int, st *typedAggState) {
 		if vec.IsNull(i) {
 			continue
 		}
-		st.sumF += vals[i]
+		st.sumF.add(vals[i])
 		st.count++
 	}
 }
@@ -291,14 +291,14 @@ func sumFloatGrouped(vec *types.Vector, sel []int, gids []int32, states []typedA
 		if sel == nil {
 			for r, v := range vals {
 				st := &states[int(gids[r])*stride+off]
-				st.sumF += v
+				st.sumF.add(v)
 				st.count++
 			}
 			return
 		}
 		for r, i := range sel {
 			st := &states[int(gids[r])*stride+off]
-			st.sumF += vals[i]
+			st.sumF.add(vals[i])
 			st.count++
 		}
 		return
@@ -312,7 +312,7 @@ func sumFloatGrouped(vec *types.Vector, sel []int, gids []int32, states []typedA
 			continue
 		}
 		st := &states[int(gids[r])*stride+off]
-		st.sumF += vals[i]
+		st.sumF.add(vals[i])
 		st.count++
 	}
 }

@@ -224,7 +224,7 @@ func TestSegmentPruneStats(t *testing.T) {
 	st := NewStore(skipSchema())
 	for s := 0; s < 4; s++ {
 		b := NewBuilder(skipSchema(), 1)
-		for i := 0; i < 2 * ZoneSize; i++ {
+		for i := 0; i < 2*ZoneSize; i++ {
 			id := int64(s*2*ZoneSize + i)
 			b.Add(types.Row{types.NewInt(id), types.NewInt(id % 16 * 1000),
 				types.NewString("x"), types.NewFloat(1)})

@@ -63,8 +63,8 @@ func (c *intColumn) get(i int) types.Value {
 	}
 	return types.NewInt(c.enc.Get(i))
 }
-func (c *intColumn) sizeBytes() int             { return c.enc.SizeBytes() + c.nulls.SizeBytes() }
-func (c *intColumn) nullMask() *types.NullMask  { return c.nulls }
+func (c *intColumn) sizeBytes() int            { return c.enc.SizeBytes() + c.nulls.SizeBytes() }
+func (c *intColumn) nullMask() *types.NullMask { return c.nulls }
 
 // intDictColumn stores int64s as bit-packed codes into an
 // order-preserving int dictionary — chosen over frame-of-reference when

@@ -1,8 +1,7 @@
 // Package txn implements the transaction machinery of the engine:
 // a timestamp oracle, multi-version concurrency control with snapshot
-// isolation (the DB2 BLU / HANA / DBIM model the tutorial describes), a
-// two-phase-locking baseline for comparison, and an H-Store-style
-// pre-partitioned serial executor [38].
+// isolation (the DB2 BLU / HANA / DBIM model the tutorial describes),
+// and a two-phase-locking baseline for comparison.
 //
 // Timestamp convention (Hekaton-style): the oracle hands out commit
 // timestamps from a monotone counter. Transaction ids live in a disjoint

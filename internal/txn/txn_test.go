@@ -267,123 +267,3 @@ func TestLockDeadlockResolvedByTimeout(t *testing.T) {
 		t.Fatal("deadlock should resolve via at least one timeout")
 	}
 }
-
-func TestPartitionedExecutorSerializesPerPartition(t *testing.T) {
-	e := NewPartitionedExecutor(4)
-	defer e.Close()
-	// Unsynchronized counter per partition: safe only if the executor
-	// truly serializes partition-local work.
-	counters := make([]int, 4)
-	var wg sync.WaitGroup
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				p := (g + i) % 4
-				e.Run([]int{p}, func() { counters[p]++ })
-			}
-		}(g)
-	}
-	wg.Wait()
-	total := 0
-	for _, c := range counters {
-		total += c
-	}
-	if total != 16*500 {
-		t.Fatalf("lost updates: %d, want %d", total, 16*500)
-	}
-	single, multi := e.Stats()
-	if single != 16*500 || multi != 0 {
-		t.Fatalf("stats: single=%d multi=%d", single, multi)
-	}
-}
-
-func TestPartitionedExecutorMultiPartitionAtomicity(t *testing.T) {
-	e := NewPartitionedExecutor(4)
-	defer e.Close()
-	balances := []int{1000, 1000, 1000, 1000}
-	var wg sync.WaitGroup
-	// Concurrent transfers between random partition pairs plus audits
-	// reading all partitions; total must be conserved at every audit.
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				from, to := (g+i)%4, (g+i+1)%4
-				e.Run([]int{from, to}, func() {
-					balances[from] -= 10
-					balances[to] += 10
-				})
-			}
-		}(g)
-	}
-	audits := make(chan int, 64)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 50; i++ {
-			e.Run([]int{0, 1, 2, 3}, func() {
-				sum := 0
-				for _, b := range balances {
-					sum += b
-				}
-				audits <- sum
-			})
-		}
-		close(audits)
-	}()
-	wg.Wait()
-	for sum := range audits {
-		if sum != 4000 {
-			t.Fatalf("audit saw non-atomic state: %d", sum)
-		}
-	}
-	_, multi := e.Stats()
-	if multi == 0 {
-		t.Fatal("multi-partition stats not counted")
-	}
-}
-
-func TestPartitionedExecutorNoDeadlockUnderContention(t *testing.T) {
-	e := NewPartitionedExecutor(8)
-	defer e.Close()
-	done := make(chan struct{})
-	go func() {
-		var wg sync.WaitGroup
-		for g := 0; g < 16; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				for i := 0; i < 100; i++ {
-					// Overlapping multi-partition sets in varying orders.
-					a, b, c := g%8, (g+3)%8, (i+5)%8
-					e.Run([]int{a, b, c}, func() {})
-				}
-			}(g)
-		}
-		wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("executor deadlocked")
-	}
-}
-
-func TestPartitionedExecutorEmptyAndDuplicateParts(t *testing.T) {
-	e := NewPartitionedExecutor(2)
-	defer e.Close()
-	ran := false
-	e.Run(nil, func() { ran = true })
-	if !ran {
-		t.Fatal("empty partition list should still run")
-	}
-	ran = false
-	e.Run([]int{1, 1, 1}, func() { ran = true })
-	if !ran {
-		t.Fatal("duplicate partitions should collapse to single")
-	}
-}

@@ -212,6 +212,126 @@ func TestLogTornTailTruncatedOnReopen(t *testing.T) {
 	}
 }
 
+// TestReplayDirFiltersUncommitted: recovery replays catalog records
+// unconditionally and data only for transactions whose COMMIT reached
+// disk — aborted, in-flight and torn-COMMIT transactions are dropped —
+// and skips everything at or below the checkpoint LSN.
+func TestReplayDirFiltersUncommitted(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, LogOptions{Mode: SyncSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// LSNs 1-2: txn 1 commits below the checkpoint (afterLSN=2).
+	l.Append(intRec(1, KindInsert, 1), intRec(1, KindCommit, 0))
+	l.Append(Record{Kind: KindCreateTable, Table: "u", Row: types.Row{types.NewInt(0)}})
+	// Txn 2 commits, txn 3 aborts, txn 4 is in flight, txn 5's COMMIT
+	// is torn below.
+	l.Append(intRec(2, KindInsert, 2), intRec(3, KindInsert, 3), intRec(2, KindCommit, 0))
+	l.Append(intRec(3, KindAbort, 0), intRec(4, KindInsert, 4))
+	l.Append(intRec(5, KindInsert, 5), intRec(5, KindCommit, 0))
+	l.Close()
+
+	segs, _, _ := scanSegments(OSFS{}, dir, false)
+	path := filepath.Join(dir, segs[len(segs)-1].name)
+	fi, _ := os.Stat(path)
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []string
+	err = ReplayDir(nil, dir, 2, func(r Record) error {
+		s := fmt.Sprintf("%d:%s", r.TxnID, r.Kind)
+		if r.Kind == KindInsert {
+			s += fmt.Sprintf("(%d)", r.Row[0].I)
+		}
+		got = append(got, s)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"0:CREATE_TABLE", "2:INSERT(2)", "2:COMMIT"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("replayed %v, want %v", got, want)
+	}
+}
+
+// replayedInts replays dir from the start and returns the integer
+// payload of every replayed INSERT.
+func replayedInts(t *testing.T, dir string) []int64 {
+	t.Helper()
+	var applied []int64
+	err := ReplayDir(nil, dir, 0, func(r Record) error {
+		if r.Kind == KindInsert {
+			applied = append(applied, r.Row[0].I)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return applied
+}
+
+// TestReplayFiltersUncommitted: with one record per Append (so
+// transactions interleave in the log), only the transaction that
+// committed replays; the aborted and the in-flight one do not.
+func TestReplayFiltersUncommitted(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, LogOptions{Mode: SyncSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// txn 1 commits, txn 2 aborts, txn 3 in flight at crash.
+	for _, r := range []Record{
+		{TxnID: 1, Kind: KindBegin},
+		intRec(1, KindInsert, 1),
+		{TxnID: 2, Kind: KindBegin},
+		intRec(2, KindInsert, 2),
+		{TxnID: 1, Kind: KindCommit},
+		{TxnID: 2, Kind: KindAbort},
+		{TxnID: 3, Kind: KindBegin},
+		intRec(3, KindInsert, 3),
+	} {
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if applied := replayedInts(t, dir); len(applied) != 1 || applied[0] != 1 {
+		t.Fatalf("ReplayDir applied %v, want [1]", applied)
+	}
+}
+
+// TestReplayTornTail: a crash inside the final record tears the last
+// transaction's COMMIT, so only the transaction before it replays.
+func TestReplayTornTail(t *testing.T) {
+	dir := t.TempDir()
+	l, err := OpenLog(dir, LogOptions{Mode: SyncSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.Append(Record{TxnID: 1, Kind: KindBegin}, intRec(1, KindInsert, 10), Record{TxnID: 1, Kind: KindCommit})
+	l.Append(Record{TxnID: 2, Kind: KindBegin}, intRec(2, KindInsert, 20), Record{TxnID: 2, Kind: KindCommit})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	segs, _, _ := scanSegments(OSFS{}, dir, false)
+	path := filepath.Join(dir, segs[len(segs)-1].name)
+	fi, _ := os.Stat(path)
+	if err := os.Truncate(path, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+	// txn 2's COMMIT was torn, so only txn 1 replays.
+	if applied := replayedInts(t, dir); len(applied) != 1 || applied[0] != 10 {
+		t.Fatalf("ReplayDir after torn tail = %v, want [10]", applied)
+	}
+}
+
 func TestLogDurableWatermark(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := OpenLog(dir, LogOptions{Mode: SyncSync})
