@@ -789,12 +789,15 @@ func BenchmarkE13_JoinSort(b *testing.B) {
 // the pre-PR-5 execution. Mrows/s scaling across the workers series is
 // the scoreboard; allocs/op shows the per-execution setup cost only
 // (the per-morsel path allocates nothing; see
-// TestPipelineWorkerStageAllocs).
+// TestPipelineWorkerStageAllocs). groupagg groups by one int column
+// (the int-key table); groupagg-multikey groups by an int and a VARCHAR
+// column (the multi-column key table).
 // ---------------------------------------------------------------------
 
 const (
 	e14Rows   = 512 * 1024
 	e14Groups = 61
+	e14Tags   = 7
 )
 
 // e14Engine loads one merged table on an 8-way engine. The pipeline
@@ -810,9 +813,14 @@ func e14Engine(b *testing.B) *core.Engine {
 		{Name: "id", Type: types.Int64},
 		{Name: "grp", Type: types.Int64},
 		{Name: "v", Type: types.Int64},
+		{Name: "tag", Type: types.String},
 	}, "id")
 	if _, err := e.CreateTable("t", schema); err != nil {
 		b.Fatal(err)
+	}
+	tags := make([]types.Value, e14Tags)
+	for i := range tags {
+		tags[i] = types.NewString(fmt.Sprintf("tag-%d", i))
 	}
 	tx := e.Begin()
 	for i := 0; i < e14Rows; i++ {
@@ -820,6 +828,7 @@ func e14Engine(b *testing.B) *core.Engine {
 			types.NewInt(int64(i)),
 			types.NewInt(int64(i % e14Groups)),
 			types.NewInt(int64(i%10_000) - 5_000),
+			tags[i%e14Tags],
 		}
 		if err := tx.Insert("t", row); err != nil {
 			b.Fatal(err)
@@ -840,33 +849,44 @@ func BenchmarkE14_ParallelPipeline(b *testing.B) {
 	e := e14Engine(b)
 	defer e.Close()
 
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("groupagg/workers=%d", workers), func(b *testing.B) {
-			tx := e.Begin()
-			defer tx.Abort()
-			ts, err := tx.ScanOperator(context.Background(), "t", []int{1, 2}, nil)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer ts.Close()
-			agg := exec.NewHashAggregate(exec.MarkPipeline(ts, workers),
-				[]exec.Expr{&exec.ColRef{Idx: 0, Name: "grp"}}, nil,
-				[]exec.AggSpec{
-					{Func: exec.AggCountStar, Name: "n"},
-					{Func: exec.AggSum, Arg: &exec.ColRef{Idx: 1}, Name: "sv"},
-					{Func: exec.AggMin, Arg: &exec.ColRef{Idx: 1}, Name: "minv"},
-				})
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agg.Reset()
-				n, err := exec.CollectCount(agg)
-				if err != nil || n != e14Groups {
-					b.Fatalf("groups = %d, err = %v", n, err)
+	groupArms := []struct {
+		name   string
+		cols   []int // scanned: the key columns, then the value column
+		keys   []int
+		groups int
+	}{
+		{"groupagg", []int{1, 2}, []int{0}, e14Groups},
+		{"groupagg-multikey", []int{1, 3, 2}, []int{0, 1}, e14Groups * e14Tags},
+	}
+	for _, arm := range groupArms {
+		val := len(arm.keys)
+		for _, workers := range []int{1, 2, 4, 8} {
+			b.Run(fmt.Sprintf("%s/workers=%d", arm.name, workers), func(b *testing.B) {
+				tx := e.Begin()
+				defer tx.Abort()
+				ts, err := tx.ScanOperator(context.Background(), "t", arm.cols, nil)
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-			b.ReportMetric(float64(e14Rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
-		})
+				defer ts.Close()
+				agg := exec.NewHashAggregate(exec.MarkPipeline(ts, workers), arm.keys,
+					[]exec.AggSpec{
+						{Func: exec.AggCountStar, Name: "n"},
+						{Func: exec.AggSum, Col: val, Name: "sv"},
+						{Func: exec.AggMin, Col: val, Name: "minv"},
+					})
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					agg.Reset()
+					n, err := exec.CollectCount(agg)
+					if err != nil || n != arm.groups {
+						b.Fatalf("groups = %d, err = %v", n, err)
+					}
+				}
+				b.ReportMetric(float64(e14Rows)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
+			})
+		}
 	}
 
 	probeSchema := types.MustSchema([]types.Column{

@@ -403,6 +403,36 @@ func TestCoerceTypeMismatchTypedError(t *testing.T) {
 	}
 }
 
+// TestSumAvgOverVarcharRejected: SUM and AVG need a numeric argument.
+// Over VARCHAR the statement fails at plan time with a typed error, in
+// the global and the grouped form; MIN, MAX and COUNT stay valid.
+func TestSumAvgOverVarcharRejected(t *testing.T) {
+	d := openTest(t, Options{})
+	setupItems(t, d)
+	for _, q := range []string{
+		`SELECT SUM(cat), AVG(cat) FROM items`,
+		`SELECT AVG(cat) FROM items`,
+		`SELECT cat, SUM(cat) FROM items GROUP BY cat`,
+		`SELECT id, AVG(cat) FROM items GROUP BY id`,
+	} {
+		rows, err := d.Query(context.Background(), q)
+		if err == nil {
+			rows.Close()
+		}
+		if !errors.Is(err, ErrTypeMismatch) {
+			t.Errorf("%s: want ErrTypeMismatch, got %v", q, err)
+		}
+	}
+	var lo, hi string
+	var n int64
+	if err := d.QueryRow(context.Background(), `SELECT MIN(cat), MAX(cat), COUNT(cat) FROM items`).Scan(&lo, &hi, &n); err != nil {
+		t.Fatal(err)
+	}
+	if lo != "fruit" || hi != "veg" || n != 5 {
+		t.Fatalf("MIN/MAX/COUNT(cat) = %q %q %d", lo, hi, n)
+	}
+}
+
 func TestCloseIdempotentWithAutoMerge(t *testing.T) {
 	d, err := Open(Options{AutoMergeEvery: time.Millisecond, MergeThreshold: 1})
 	if err != nil {

@@ -430,9 +430,9 @@ func TestScanOperatorBridgesToExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg := exec.NewHashAggregate(op, nil, nil, []exec.AggSpec{
+	agg := exec.NewHashAggregate(op, nil, []exec.AggSpec{
 		{Func: exec.AggCountStar},
-		{Func: exec.AggSum, Arg: &exec.ColRef{Idx: 2}},
+		{Func: exec.AggSum, Col: 2},
 	})
 	rows, err := exec.Collect(agg)
 	if err != nil {

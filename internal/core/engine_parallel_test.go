@@ -129,7 +129,7 @@ func TestTypedAggregateOverParallelScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	agg := exec.NewHashAggregate(op,
-		[]exec.Expr{&exec.ColRef{Idx: 0, Name: "v"}}, []string{"v"},
+		[]int{0},
 		[]exec.AggSpec{{Func: exec.AggCountStar, Name: "n"}})
 	rows, err := exec.Collect(agg)
 	if err != nil {

@@ -35,234 +35,146 @@ func (f AggFunc) String() string {
 	}
 }
 
-// AggSpec is one aggregate output column.
+// AggSpec is one aggregate output column. Its argument is an input
+// column, never an expression: the planner projects computed arguments
+// into columns below the aggregate, so the operator only runs
+// whole-vector kernels.
 type AggSpec struct {
 	Func AggFunc
-	Arg  Expr // nil for COUNT(*)
+	Col  int // input column; ignored for COUNT(*)
 	Name string
 }
 
-// aggState accumulates one aggregate for one group.
-type aggState struct {
-	count int64
-	sumI  int64
-	sumF  floatSum
-	isF   bool
-	min   types.Value
-	max   types.Value
-	seen  bool
-}
-
-func (a *aggState) add(v types.Value) {
-	if v.Null {
-		return
-	}
-	a.count++
-	switch v.Typ {
-	case types.Float64:
-		a.isF = true
-		a.sumF.add(v.F)
-	case types.Int64, types.Bool:
-		a.sumI += v.I
-	}
-	if !a.seen {
-		a.min, a.max = v, v
-		a.seen = true
-		return
-	}
-	if types.Compare(v, a.min) < 0 {
-		a.min = v
-	}
-	if types.Compare(v, a.max) > 0 {
-		a.max = v
-	}
-}
-
-func (a *aggState) result(f AggFunc, argType types.Type) types.Value {
-	switch f {
-	case AggCount, AggCountStar:
-		return types.NewInt(a.count)
-	case AggSum:
-		if a.count == 0 {
-			return types.NewNull(argType)
-		}
-		if a.isF || argType == types.Float64 {
-			return types.NewFloat(a.floatTotal())
-		}
-		return types.NewInt(a.sumI)
-	case AggMin:
-		if !a.seen {
-			return types.NewNull(argType)
-		}
-		return a.min
-	case AggMax:
-		if !a.seen {
-			return types.NewNull(argType)
-		}
-		return a.max
-	case AggAvg:
-		if a.count == 0 {
-			return types.NewNull(types.Float64)
-		}
-		if a.isF {
-			return types.NewFloat(a.floatTotal() / float64(a.count))
-		}
-		return types.NewFloat(float64(a.sumI) / float64(a.count))
-	default:
-		return types.NewNull(argType)
-	}
-}
-
-// floatTotal is the float sum of every value added: the exact float
-// sum plus the integer sum, rounded once.
-func (a *aggState) floatTotal() float64 {
-	if a.sumI == 0 {
-		return a.sumF.value()
-	}
-	var s floatSum
-	s.merge(&a.sumF)
-	s.add(float64(a.sumI))
-	return s.value()
-}
-
-// HashAggregate groups rows by key expressions and computes aggregates.
+// HashAggregate groups rows by key columns and computes aggregates.
 // Output schema: group columns then aggregate columns.
 type HashAggregate struct {
 	in     Operator
-	groups []Expr
-	aggs   []AggSpec
+	groups []int
+	plan   []typedAggSpec // one per aggregate
 	schema *types.Schema
 
 	done bool
-	out  *types.Batch
 }
 
-// NewHashAggregate builds an aggregation; groupNames label group
-// columns.
-func NewHashAggregate(in Operator, groups []Expr, groupNames []string, aggs []AggSpec) *HashAggregate {
+// NewHashAggregate builds an aggregation over the input columns
+// groupCols. SUM and AVG need a numeric or bool argument; the planner
+// rejects other types before building the operator.
+func NewHashAggregate(in Operator, groupCols []int, aggs []AggSpec) *HashAggregate {
 	inS := in.Schema()
-	cols := make([]types.Column, 0, len(groups)+len(aggs))
-	for i, g := range groups {
-		name := g.String()
-		if i < len(groupNames) && groupNames[i] != "" {
-			name = groupNames[i]
-		}
-		cols = append(cols, types.Column{Name: name, Type: g.Type(inS)})
+	cols := make([]types.Column, 0, len(groupCols)+len(aggs))
+	for _, c := range groupCols {
+		cols = append(cols, inS.Cols[c])
 	}
-	for _, a := range aggs {
-		t := types.Int64
+	plan := make([]typedAggSpec, len(aggs))
+	for i, a := range aggs {
+		plan[i] = compileTypedAgg(inS, a)
+		t := plan[i].argType
 		switch a.Func {
+		case AggCount, AggCountStar:
+			t = types.Int64
 		case AggAvg:
 			t = types.Float64
-		case AggSum, AggMin, AggMax:
-			if a.Arg != nil {
-				t = a.Arg.Type(inS)
-			}
 		}
 		name := a.Name
 		if name == "" {
-			if a.Arg != nil {
-				name = a.Func.String() + "(" + a.Arg.String() + ")"
-			} else {
-				name = "COUNT(*)"
+			name = "COUNT(*)"
+			if a.Func != AggCountStar {
+				name = a.Func.String() + "(" + inS.Cols[a.Col].Name + ")"
 			}
 		}
 		cols = append(cols, types.Column{Name: name, Type: t})
 	}
-	return &HashAggregate{in: in, groups: groups, aggs: aggs, schema: &types.Schema{Cols: cols}}
+	return &HashAggregate{in: in, groups: groupCols, plan: plan, schema: &types.Schema{Cols: cols}}
 }
 
 // Schema implements Operator.
 func (h *HashAggregate) Schema() *types.Schema { return h.schema }
 
-type aggGroup struct {
-	key    types.Row
-	states []aggState
-}
-
 // Next implements Operator: it drains the input on first call and emits
-// one batch of results. When the aggregation shape allows it (column-ref
-// arguments over numeric/bool columns, grouping empty or a single
-// int64-domain column), the drain runs through the typed kernel path in
-// agg_typed.go instead of boxing a types.Value per row — and when the
-// input is additionally a parallel exec.Pipeline, the typed drain fans
-// out over the morsel workers with thread-local partial states merged
-// here at the breaker.
+// one batch of results. Every shape runs the same typed kernels over
+// dense group ids (agg_typed.go). When the input is a parallel
+// Pipeline, each morsel worker folds its batches into a thread-local
+// accumulator and the partials merge here at the breaker.
 func (h *HashAggregate) Next() (*types.Batch, error) {
 	if h.done {
 		return nil, nil
 	}
 	h.done = true
-	if out, ok, err := h.typedNext(); ok || err != nil {
-		h.out = out
-		return out, err
+	acc, err := h.drain()
+	if err != nil {
+		return nil, err
 	}
-	tbl := make(map[uint64][]*aggGroup)
-	var order []*aggGroup
-	keyCols := make([]int, len(h.groups))
-	for i := range keyCols {
-		keyCols[i] = i
-	}
-	for {
-		b, err := h.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for i := 0; i < b.Len(); i++ {
-			key := make(types.Row, len(h.groups))
-			for g, ge := range h.groups {
-				key[g] = ge.Eval(b, i)
-			}
-			hk := types.HashRow(key, keyCols)
-			var grp *aggGroup
-			for _, cand := range tbl[hk] {
-				if types.CompareKeys(cand.key, key) == 0 {
-					grp = cand
-					break
-				}
-			}
-			if grp == nil {
-				grp = &aggGroup{key: key, states: make([]aggState, len(h.aggs))}
-				tbl[hk] = append(tbl[hk], grp)
-				order = append(order, grp)
-			}
-			for ai, spec := range h.aggs {
-				if spec.Func == AggCountStar || spec.Arg == nil {
-					grp.states[ai].count++
-					continue
-				}
-				grp.states[ai].add(spec.Arg.Eval(b, i))
-			}
-		}
-	}
-	// Global aggregate with no groups and no input: one all-empty row.
-	if len(order) == 0 && len(h.groups) == 0 {
-		order = append(order, &aggGroup{states: make([]aggState, len(h.aggs))})
-	}
+	return h.emit(acc), nil
+}
+
+func (h *HashAggregate) drain() (*groupAcc, error) {
 	inS := h.in.Schema()
-	out := types.NewBatch(h.schema, len(order))
-	for _, grp := range order {
-		row := make(types.Row, 0, len(h.schema.Cols))
-		row = append(row, grp.key...)
-		for ai, spec := range h.aggs {
-			argType := types.Int64
-			if spec.Arg != nil {
-				argType = spec.Arg.Type(inS)
+	p, ok := h.in.(*Pipeline)
+	if !ok {
+		acc := newGroupAcc(inS, h.groups, h.plan)
+		for {
+			b, err := h.in.Next()
+			if err != nil {
+				return nil, err
 			}
-			row = append(row, grp.states[ai].result(spec.Func, argType))
+			if b == nil {
+				return acc, nil
+			}
+			acc.consume(b)
 		}
-		out.AppendRow(row)
 	}
-	h.out = out
-	return out, nil
+	accs := make([]*groupAcc, p.Workers())
+	err := p.ForEach(func(w int, b *types.Batch) error {
+		if accs[w] == nil {
+			accs[w] = newGroupAcc(inS, h.groups, h.plan)
+		}
+		accs[w].consume(b)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	// The first worker's accumulator seeds the merge, so its groups are
+	// not re-inserted. Group output order is first-seen across the
+	// merge, which depends on how zones were dealt to workers —
+	// unordered, as SQL allows.
+	var merged *groupAcc
+	for _, acc := range accs {
+		switch {
+		case acc == nil:
+		case merged == nil:
+			merged = acc
+		default:
+			merged.merge(acc)
+		}
+	}
+	if merged == nil {
+		merged = newGroupAcc(inS, h.groups, h.plan)
+	}
+	return merged, nil
+}
+
+// emit renders the accumulator as one output batch: the key columns in
+// group-id order, then one column per aggregate. A global aggregate
+// always has its one group, so it emits one row even over no input.
+func (h *HashAggregate) emit(acc *groupAcc) *types.Batch {
+	n := acc.groups()
+	cols := make([]*types.Vector, 0, len(h.schema.Cols))
+	if acc.keys != nil {
+		cols = append(cols, acc.keys.vectors()...)
+	}
+	for ai, sp := range h.plan {
+		v := types.NewVector(h.schema.Cols[len(h.groups)+ai].Type, n)
+		for g := 0; g < n; g++ {
+			v.Append(acc.states[g*len(h.plan)+ai].result(sp))
+		}
+		cols = append(cols, v)
+	}
+	return &types.Batch{Schema: h.schema, Cols: cols}
 }
 
 // Reset implements Operator.
 func (h *HashAggregate) Reset() {
 	h.in.Reset()
 	h.done = false
-	h.out = nil
 }

@@ -1,16 +1,19 @@
 package exec
 
 import (
+	"fmt"
+
 	"repro/internal/types"
 )
 
-// This file implements the typed aggregation fast path: when every
-// aggregate argument is a direct column reference of a numeric/bool
-// type and the grouping is empty or a single int64-domain column (plain
-// ints, bools, or dictionary codes), the operator bypasses per-row
-// types.Value boxing entirely. Group lookup uses an open-addressing
-// table keyed on the raw int64 — no map[string] key building — and the
-// aggregates run as whole-vector kernels over gid arrays.
+// This file implements hash aggregation over typed vectors. Every
+// aggregate argument is an input column, so each aggregate compiles to
+// one kernel family (aggkernel.go) and no row is ever boxed into a
+// types.Value. Rows map to dense group ids through one of two
+// assigners, chosen by the key shape: a single Int64/Bool key column
+// probes intGroupTable on the raw int64; every other shape (several
+// columns, float, VARCHAR) probes the shared keyTable through colKeys
+// (keytable.go). A global aggregate has no assigner and one group.
 
 // aggKind selects the kernel family for one aggregate spec.
 type aggKind uint8
@@ -22,9 +25,10 @@ const (
 	aggKindSumFloat
 	aggKindMinMaxInt
 	aggKindMinMaxFloat
+	aggKindMinMaxString
 )
 
-// typedAggSpec is one aggregate compiled for the typed path.
+// typedAggSpec is one aggregate compiled onto its kernel family.
 type typedAggSpec struct {
 	kind    aggKind
 	col     int // input column (unused for COUNT(*))
@@ -32,122 +36,83 @@ type typedAggSpec struct {
 	argType types.Type
 }
 
+// compileTypedAgg maps an aggregate spec onto its kernel family. COUNT
+// takes any type and MIN/MAX any type; SUM and AVG over VARCHAR have no
+// meaning and the planner rejects them, so reaching one is a bug.
+func compileTypedAgg(inS *types.Schema, a AggSpec) typedAggSpec {
+	if a.Func == AggCountStar {
+		return typedAggSpec{kind: aggKindCountStar, fn: AggCountStar, argType: types.Int64}
+	}
+	t := inS.Cols[a.Col].Type
+	sp := typedAggSpec{col: a.Col, fn: a.Func, argType: t}
+	minMax := a.Func == AggMin || a.Func == AggMax
+	switch {
+	case a.Func == AggCount:
+		sp.kind = aggKindCount
+	case t == types.String && minMax:
+		sp.kind = aggKindMinMaxString
+	case t == types.String:
+		panic(fmt.Sprintf("exec: %s over a %s column", a.Func, t))
+	case t == types.Float64 && minMax:
+		sp.kind = aggKindMinMaxFloat
+	case t == types.Float64:
+		sp.kind = aggKindSumFloat
+	case minMax:
+		sp.kind = aggKindMinMaxInt
+	default:
+		sp.kind = aggKindSumInt
+	}
+	return sp
+}
+
 // result converts the accumulated state into the aggregate's output
-// value, preserving the generic path's typing rules.
-func (st *typedAggState) result(f AggFunc, argType types.Type) types.Value {
-	isF := argType == types.Float64
-	switch f {
+// value: COUNT is never NULL, every other aggregate over no non-NULL
+// input is.
+func (st *typedAggState) result(sp typedAggSpec) types.Value {
+	t := sp.argType
+	switch sp.fn {
 	case AggCount, AggCountStar:
 		return types.NewInt(st.count)
 	case AggSum:
 		if st.count == 0 {
-			return types.NewNull(argType)
+			return types.NewNull(t)
 		}
-		if isF {
+		if t == types.Float64 {
 			return types.NewFloat(st.sumF.value())
 		}
 		return types.NewInt(st.sumI)
-	case AggMin:
-		if !st.seen {
-			return types.NewNull(argType)
-		}
-		switch argType {
-		case types.Float64:
-			return types.NewFloat(st.minF)
-		case types.Bool:
-			return types.NewBool(st.minI != 0)
-		default:
-			return types.NewInt(st.minI)
-		}
-	case AggMax:
-		if !st.seen {
-			return types.NewNull(argType)
-		}
-		switch argType {
-		case types.Float64:
-			return types.NewFloat(st.maxF)
-		case types.Bool:
-			return types.NewBool(st.maxI != 0)
-		default:
-			return types.NewInt(st.maxI)
-		}
 	case AggAvg:
 		if st.count == 0 {
 			return types.NewNull(types.Float64)
 		}
-		if isF {
+		if t == types.Float64 {
 			return types.NewFloat(st.sumF.value() / float64(st.count))
 		}
 		return types.NewFloat(float64(st.sumI) / float64(st.count))
+	case AggMin, AggMax:
+		if !st.seen {
+			return types.NewNull(t)
+		}
+		isMin := sp.fn == AggMin
+		switch t {
+		case types.Float64:
+			return types.NewFloat(pick(isMin, st.minF, st.maxF))
+		case types.String:
+			return types.NewString(pick(isMin, st.minMaxS[0], st.minMaxS[1]))
+		default:
+			// Bool columns take the int value; the output vector is Bool.
+			return types.NewInt(pick(isMin, st.minI, st.maxI))
+		}
 	default:
-		return types.NewNull(argType)
+		return types.NewNull(t)
 	}
 }
 
-// compileTypedAggs maps the aggregate specs onto kernels, or reports
-// that the shape needs the generic path.
-func compileTypedAggs(inS *types.Schema, aggs []AggSpec) ([]typedAggSpec, bool) {
-	out := make([]typedAggSpec, len(aggs))
-	for i, a := range aggs {
-		if a.Func == AggCountStar || a.Arg == nil {
-			out[i] = typedAggSpec{kind: aggKindCountStar, fn: AggCountStar, argType: types.Int64}
-			continue
-		}
-		cr, ok := a.Arg.(*ColRef)
-		if !ok {
-			return nil, false
-		}
-		ct := inS.Cols[cr.Idx].Type
-		sp := typedAggSpec{col: cr.Idx, fn: a.Func, argType: ct}
-		switch a.Func {
-		case AggCount:
-			sp.kind = aggKindCount
-		case AggSum, AggAvg:
-			switch ct {
-			case types.Int64, types.Bool:
-				sp.kind = aggKindSumInt
-			case types.Float64:
-				sp.kind = aggKindSumFloat
-			default:
-				return nil, false
-			}
-		case AggMin, AggMax:
-			switch ct {
-			case types.Int64, types.Bool:
-				sp.kind = aggKindMinMaxInt
-			case types.Float64:
-				sp.kind = aggKindMinMaxFloat
-			default:
-				return nil, false
-			}
-		default:
-			return nil, false
-		}
-		out[i] = sp
+func pick[T any](first bool, a, b T) T {
+	if first {
+		return a
 	}
-	return out, true
-}
-
-// typedGroupCol reports the input column usable as a typed group key, or
-// ok=false when the grouping shape needs the generic path.
-func typedGroupCol(inS *types.Schema, groups []Expr) (col int, global, ok bool) {
-	switch len(groups) {
-	case 0:
-		return -1, true, true
-	case 1:
-		cr, isRef := groups[0].(*ColRef)
-		if !isRef {
-			return 0, false, false
-		}
-		switch inS.Cols[cr.Idx].Type {
-		case types.Int64, types.Bool:
-			return cr.Idx, false, true
-		default:
-			return 0, false, false
-		}
-	default:
-		return 0, false, false
-	}
+	return b
 }
 
 // runTypedKernel dispatches one aggregate kernel over a batch (global
@@ -163,9 +128,11 @@ func runTypedKernel(sp typedAggSpec, b *types.Batch, st *typedAggState) {
 	case aggKindSumFloat:
 		sumFloatKernel(b.Cols[sp.col], b.Sel, st)
 	case aggKindMinMaxInt:
-		minMaxIntKernel(b.Cols[sp.col], b.Sel, st)
+		minMaxIntKernel(b.Cols[sp.col], b.Sel, b.Len(), st)
 	case aggKindMinMaxFloat:
-		minMaxFloatKernel(b.Cols[sp.col], b.Sel, st)
+		minMaxFloatKernel(b.Cols[sp.col], b.Sel, b.Len(), st)
+	case aggKindMinMaxString:
+		minMaxStringKernel(b.Cols[sp.col], b.Sel, b.Len(), st)
 	}
 }
 
@@ -185,7 +152,138 @@ func runTypedGroupedKernel(sp typedAggSpec, b *types.Batch, gids []int32, states
 		minMaxIntGrouped(b.Cols[sp.col], b.Sel, gids, states, stride, off)
 	case aggKindMinMaxFloat:
 		minMaxFloatGrouped(b.Cols[sp.col], b.Sel, gids, states, stride, off)
+	case aggKindMinMaxString:
+		minMaxStringGrouped(b.Cols[sp.col], b.Sel, gids, states, stride, off)
 	}
+}
+
+// merge folds another partial state into st. The layout is kind-blind:
+// count/sum fields are additive and min/max fold through seen, so one
+// merge serves every kernel family (the fields a family never writes
+// stay zero and merge harmlessly).
+func (st *typedAggState) merge(o *typedAggState) {
+	st.count += o.count
+	st.sumI += o.sumI
+	st.sumF.merge(&o.sumF)
+	if !o.seen {
+		return
+	}
+	if !st.seen {
+		st.minI, st.maxI = o.minI, o.maxI
+		st.minF, st.maxF = o.minF, o.maxF
+		st.minMaxS = o.minMaxS
+		st.seen = true
+		return
+	}
+	st.observeInt(o.minI)
+	st.observeInt(o.maxI)
+	st.observeFloat(o.minF)
+	st.observeFloat(o.maxF)
+	if o.minMaxS != nil {
+		st.observeString(o.minMaxS[0])
+		st.observeString(o.minMaxS[1])
+	}
+}
+
+// groupKeys assigns dense group ids (0, 1, 2, … in first-seen order)
+// to key values and keeps each group's key.
+type groupKeys interface {
+	// assign appends the group id of each logical row of b to gids,
+	// creating groups for keys not seen before.
+	assign(b *types.Batch, gids []int32) []int32
+	// absorb appends, for each of o's groups in id order, its id here,
+	// creating the groups this table lacks. o has the same concrete
+	// type and key columns (another worker's partial).
+	absorb(o groupKeys, ids []int32) []int32
+	// len is the number of groups.
+	len() int
+	// vectors returns the key columns, one row per group in id order.
+	vectors() []*types.Vector
+}
+
+// newGroupKeys selects the assigner for the key shape.
+func newGroupKeys(inS *types.Schema, cols []int) groupKeys {
+	if len(cols) == 1 {
+		if t := inS.Cols[cols[0]].Type; t == types.Int64 || t == types.Bool {
+			return newIntKeys(cols[0], t)
+		}
+	}
+	return newColKeys(inS, cols)
+}
+
+// intKeys assigns group ids for one Int64/Bool key column (plain ints,
+// bools or dictionary codes) through intGroupTable. NULL keys go to a
+// dedicated group outside the table, matched by id, so a real key 0
+// never collides with it.
+type intKeys struct {
+	col     int
+	typ     types.Type
+	table   *intGroupTable
+	keys    []int64 // per group id
+	nullGid int32
+	addFn   func(k int64) int32 // stored once: probes pass a func value, not a fresh closure
+}
+
+func newIntKeys(col int, typ types.Type) *intKeys {
+	k := &intKeys{col: col, typ: typ, table: newIntGroupTable(64), nullGid: -1}
+	k.addFn = func(key int64) int32 {
+		k.keys = append(k.keys, key)
+		return int32(len(k.keys) - 1)
+	}
+	return k
+}
+
+func (k *intKeys) len() int { return len(k.keys) }
+
+func (k *intKeys) nullGroup() int32 {
+	if k.nullGid < 0 {
+		k.nullGid = k.addFn(0)
+	}
+	return k.nullGid
+}
+
+func (k *intKeys) assign(b *types.Batch, gids []int32) []int32 {
+	kvec := b.Cols[k.col]
+	kvals := kvec.Ints
+	n := b.Len()
+	if b.Sel == nil && !kvec.HasNulls() {
+		for i := 0; i < n; i++ {
+			gids = append(gids, k.table.lookupOrInsert(kvals[i], k.addFn))
+		}
+		return gids
+	}
+	for r := 0; r < n; r++ {
+		i := b.RowIdx(r)
+		if kvec.IsNull(i) {
+			gids = append(gids, k.nullGroup())
+			continue
+		}
+		gids = append(gids, k.table.lookupOrInsert(kvals[i], k.addFn))
+	}
+	return gids
+}
+
+func (k *intKeys) absorb(other groupKeys, ids []int32) []int32 {
+	o := other.(*intKeys)
+	for g, key := range o.keys {
+		if int32(g) == o.nullGid {
+			ids = append(ids, k.nullGroup())
+			continue
+		}
+		ids = append(ids, k.table.lookupOrInsert(key, k.addFn))
+	}
+	return ids
+}
+
+func (k *intKeys) vectors() []*types.Vector {
+	var nulls *types.NullMask
+	if k.nullGid >= 0 {
+		nulls = types.NewNullMask(len(k.keys))
+		nulls.Set(int(k.nullGid), true)
+	}
+	v := types.NewVector(k.typ, len(k.keys))
+	v.AppendInts(k.keys, nulls, nil)
+	return []*types.Vector{v}
 }
 
 // intGroupTable is an open-addressing (linear probing) hash table from
@@ -256,275 +354,80 @@ func (t *intGroupTable) grow() {
 	}
 }
 
-// merge folds another partial state into st. The layout is kind-blind:
-// count/sum fields are additive and min/max fold through seen, so one
-// merge serves every kernel family (the fields a family never writes
-// stay zero and merge harmlessly).
-func (st *typedAggState) merge(o *typedAggState) {
-	st.count += o.count
-	st.sumI += o.sumI
-	st.sumF.merge(&o.sumF)
-	if !o.seen {
-		return
-	}
-	if !st.seen {
-		st.minI, st.maxI = o.minI, o.maxI
-		st.minF, st.maxF = o.minF, o.maxF
-		st.seen = true
-		return
-	}
-	if o.minI < st.minI {
-		st.minI = o.minI
-	}
-	if o.maxI > st.maxI {
-		st.maxI = o.maxI
-	}
-	if o.minF < st.minF {
-		st.minF = o.minF
-	}
-	if o.maxF > st.maxF {
-		st.maxF = o.maxF
-	}
+// groupAcc is one thread of aggregation state: the group-id assigner
+// (nil for a global aggregate, which always has exactly one group), the
+// per-(group, aggregate) states and the per-batch gid scratch. Serial
+// drains use one; parallel drains give each morsel worker its own —
+// its own key table, no shared-table contention, no batch handoff —
+// and merge them at the breaker.
+type groupAcc struct {
+	plan   []typedAggSpec
+	keys   groupKeys
+	states []typedAggState // [gid*len(plan)+ai]
+	gids   []int32
 }
 
-// typedNext drains the input through the typed path. ok=false means the
-// aggregation shape is not covered and the generic path must run (the
-// input has not been consumed in that case). When the input is a
-// parallel Pipeline, the drain fans out: every morsel worker accumulates
-// thread-local partial states (its own open-addressing key table for
-// grouped aggregation) and the partials merge here at the breaker.
-func (h *HashAggregate) typedNext() (*types.Batch, bool, error) {
-	inS := h.in.Schema()
-	plan, ok := compileTypedAggs(inS, h.aggs)
-	if !ok {
-		return nil, false, nil
-	}
-	keyCol, global, ok := typedGroupCol(inS, h.groups)
-	if !ok {
-		return nil, false, nil
-	}
-	if p, isPipe := h.in.(*Pipeline); isPipe {
-		if global {
-			out, err := h.typedGlobalParallel(p, plan)
-			return out, true, err
-		}
-		out, err := h.typedGroupedParallel(p, keyCol, plan)
-		return out, true, err
-	}
-	if global {
-		out, err := h.typedGlobal(plan)
-		return out, true, err
-	}
-	out, err := h.typedGrouped(keyCol, plan)
-	return out, true, err
-}
-
-func (h *HashAggregate) typedGlobal(plan []typedAggSpec) (*types.Batch, error) {
-	states := make([]typedAggState, len(plan))
-	for {
-		b, err := h.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		for ai := range plan {
-			runTypedKernel(plan[ai], b, &states[ai])
-		}
-	}
-	return h.emitTypedGlobal(states, plan), nil
-}
-
-// typedGlobalParallel is typedGlobal with the drain fanned out over the
-// pipeline's morsel workers: each worker folds its batches into private
-// states and the partials merge once at the breaker. Float sums are
-// exact until read, so the result matches the serial drain bit for bit.
-func (h *HashAggregate) typedGlobalParallel(p *Pipeline, plan []typedAggSpec) (*types.Batch, error) {
-	partials := make([][]typedAggState, p.Workers())
-	err := p.ForEach(func(w int, b *types.Batch) error {
-		st := partials[w]
-		if st == nil {
-			st = make([]typedAggState, len(plan))
-			partials[w] = st
-		}
-		for ai := range plan {
-			runTypedKernel(plan[ai], b, &st[ai])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	states := make([]typedAggState, len(plan))
-	for _, st := range partials {
-		if st == nil {
-			continue
-		}
-		for ai := range states {
-			states[ai].merge(&st[ai])
-		}
-	}
-	return h.emitTypedGlobal(states, plan), nil
-}
-
-func (h *HashAggregate) emitTypedGlobal(states []typedAggState, plan []typedAggSpec) *types.Batch {
-	out := types.NewBatch(h.schema, 1)
-	row := make(types.Row, 0, len(h.schema.Cols))
-	for ai, sp := range plan {
-		row = append(row, states[ai].result(h.aggs[ai].Func, sp.argType))
-	}
-	out.AppendRow(row)
-	return out
-}
-
-// typedGroupAcc is one thread of grouped-aggregation state: the
-// open-addressing key table, the dense key list, the per-(group,
-// aggregate) states, and the per-batch gid scratch. Serial drains use
-// one; parallel drains give each morsel worker its own and merge them
-// at the breaker. addFn is stored once so the per-row table probes pass
-// a func value, not a fresh closure.
-type typedGroupAcc struct {
-	nAggs   int
-	table   *intGroupTable
-	keys    []int64
-	states  []typedAggState
-	gidBuf  []int32
-	nullGid int32
-	addFn   func(k int64) int32
-}
-
-func newTypedGroupAcc(nAggs int) *typedGroupAcc {
-	a := &typedGroupAcc{nAggs: nAggs, table: newIntGroupTable(64), nullGid: -1}
-	a.addFn = func(k int64) int32 {
-		gid := int32(len(a.keys))
-		a.keys = append(a.keys, k)
-		for i := 0; i < a.nAggs; i++ {
-			a.states = append(a.states, typedAggState{})
-		}
-		return gid
+func newGroupAcc(inS *types.Schema, groupCols []int, plan []typedAggSpec) *groupAcc {
+	a := &groupAcc{plan: plan}
+	if len(groupCols) == 0 {
+		a.states = make([]typedAggState, len(plan))
+	} else {
+		a.keys = newGroupKeys(inS, groupCols)
 	}
 	return a
 }
 
-// consume folds one batch into the accumulator: gid assignment (NULL
-// keys go to a dedicated group outside the table) then one grouped
-// kernel pass per aggregate.
-func (a *typedGroupAcc) consume(b *types.Batch, keyCol int, plan []typedAggSpec) {
-	kvec := b.Cols[keyCol]
-	kvals := kvec.Ints
-	n := b.Len()
-	a.gidBuf = a.gidBuf[:0]
-	if b.Sel == nil && !kvec.HasNulls() {
-		for i := 0; i < n; i++ {
-			a.gidBuf = append(a.gidBuf, a.table.lookupOrInsert(kvals[i], a.addFn))
-		}
-	} else {
-		for r := 0; r < n; r++ {
-			i := b.RowIdx(r)
-			if kvec.IsNull(i) {
-				if a.nullGid < 0 {
-					a.nullGid = a.addFn(0)
-				}
-				a.gidBuf = append(a.gidBuf, a.nullGid)
-				continue
-			}
-			a.gidBuf = append(a.gidBuf, a.table.lookupOrInsert(kvals[i], a.addFn))
-		}
+func (a *groupAcc) groups() int {
+	if a.keys == nil {
+		return 1
 	}
-	for ai := range plan {
-		runTypedGroupedKernel(plan[ai], b, a.gidBuf, a.states, a.nAggs, ai)
+	return a.keys.len()
+}
+
+// consume folds one batch into the accumulator: group-id assignment,
+// then one kernel pass per aggregate.
+func (a *groupAcc) consume(b *types.Batch) {
+	if a.keys == nil {
+		for ai := range a.plan {
+			runTypedKernel(a.plan[ai], b, &a.states[ai])
+		}
+		return
+	}
+	a.gids = a.keys.assign(b, a.gids[:0])
+	a.growStates()
+	for ai := range a.plan {
+		runTypedGroupedKernel(a.plan[ai], b, a.gids, a.states, len(a.plan), ai)
 	}
 }
 
-// mergeFrom folds another accumulator's groups into a. The NULL group
-// is matched by its id, not its sentinel key, so a real key-0 group
-// never collides with it.
-func (a *typedGroupAcc) mergeFrom(o *typedGroupAcc) {
-	for g := range o.keys {
-		var gid int32
-		if int32(g) == o.nullGid {
-			if a.nullGid < 0 {
-				a.nullGid = a.addFn(0)
-			}
-			gid = a.nullGid
-		} else {
-			gid = a.table.lookupOrInsert(o.keys[g], a.addFn)
-		}
-		dst := a.states[int(gid)*a.nAggs : (int(gid)+1)*a.nAggs]
-		src := o.states[g*o.nAggs : (g+1)*o.nAggs]
-		for ai := range dst {
-			dst[ai].merge(&src[ai])
-		}
+// growStates gives every group its zeroed states. The array doubles, so
+// a drain reallocates it O(log groups) times; states past len are never
+// written before they are reached, so they are still zero.
+func (a *groupAcc) growStates() {
+	need := a.keys.len() * len(a.plan)
+	if need > cap(a.states) {
+		grown := make([]typedAggState, need, 2*need)
+		copy(grown, a.states)
+		a.states = grown
 	}
+	a.states = a.states[:need]
 }
 
-func (h *HashAggregate) typedGrouped(keyCol int, plan []typedAggSpec) (*types.Batch, error) {
-	acc := newTypedGroupAcc(len(plan))
-	for {
-		b, err := h.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		acc.consume(b, keyCol, plan)
+// merge folds another worker's accumulator into a, re-probing o's
+// keys into a's assigner.
+func (a *groupAcc) merge(o *groupAcc) {
+	if a.keys != nil {
+		a.gids = a.keys.absorb(o.keys, a.gids[:0])
+		a.growStates()
 	}
-	return h.emitTypedGrouped(acc, plan), nil
-}
-
-// typedGroupedParallel is typedGrouped with the drain fanned out over
-// the pipeline's morsel workers: each worker owns a thread-local
-// typedGroupAcc (its own key table — no shared-table contention, no
-// batch handoff) and the partial tables merge once at the breaker. The
-// first worker's accumulator seeds the merge so its groups are not
-// re-inserted. Group output order is first-seen across the merge, which
-// depends on how zones were dealt to workers — unordered, as SQL allows.
-func (h *HashAggregate) typedGroupedParallel(p *Pipeline, keyCol int, plan []typedAggSpec) (*types.Batch, error) {
-	accs := make([]*typedGroupAcc, p.Workers())
-	err := p.ForEach(func(w int, b *types.Batch) error {
-		acc := accs[w]
-		if acc == nil {
-			acc = newTypedGroupAcc(len(plan))
-			accs[w] = acc
+	n := len(a.plan)
+	for g := 0; g < o.groups(); g++ {
+		dst := 0
+		if a.keys != nil {
+			dst = int(a.gids[g])
 		}
-		acc.consume(b, keyCol, plan)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var merged *typedGroupAcc
-	for _, acc := range accs {
-		if acc == nil {
-			continue
-		}
-		if merged == nil {
-			merged = acc
-			continue
-		}
-		merged.mergeFrom(acc)
-	}
-	if merged == nil {
-		merged = newTypedGroupAcc(len(plan))
-	}
-	return h.emitTypedGrouped(merged, plan), nil
-}
-
-func (h *HashAggregate) emitTypedGrouped(acc *typedGroupAcc, plan []typedAggSpec) *types.Batch {
-	nAggs := len(plan)
-	out := types.NewBatch(h.schema, len(acc.keys))
-	var keyNulls *types.NullMask
-	if acc.nullGid >= 0 {
-		keyNulls = types.NewNullMask(len(acc.keys))
-		keyNulls.Set(int(acc.nullGid), true)
-	}
-	out.Cols[0].AppendInts(acc.keys, keyNulls, nil)
-	for g := 0; g < len(acc.keys); g++ {
-		for ai, sp := range plan {
-			out.Cols[1+ai].Append(acc.states[g*nAggs+ai].result(h.aggs[ai].Func, sp.argType))
+		for ai := 0; ai < n; ai++ {
+			a.states[dst*n+ai].merge(&o.states[g*n+ai])
 		}
 	}
-	return out
 }

@@ -49,7 +49,7 @@ func describeInto(sb *strings.Builder, op Operator, depth int) {
 		sb.WriteString("Distinct\n")
 		describeInto(sb, v.in, depth+1)
 	case *HashAggregate:
-		fmt.Fprintf(sb, "HashAggregate(groups=%d aggs=%d)\n", len(v.groups), len(v.aggs))
+		fmt.Fprintf(sb, "HashAggregate(groups=%d aggs=%d)\n", len(v.groups), len(v.plan))
 		describeInto(sb, v.in, depth+1)
 	case *HashJoin:
 		kind := "inner"

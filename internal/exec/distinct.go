@@ -5,54 +5,31 @@ import (
 )
 
 // Distinct removes duplicate rows (all columns), streaming: each batch
-// is hashed column-at-a-time through the shared key-table machinery and
-// filtered against the set of rows already seen. First-seen rows are
-// retained in a typed columnar store (the equality side of the table's
-// collision re-check); the output is a selection vector over the input
-// batch, so the probe/emit path never boxes a types.Row and performs no
-// per-row allocation. NULLs compare equal here (SQL DISTINCT groups
-// them), unlike join keys.
+// takes group ids from the same key-table assigner as GROUP BY
+// (colKeys), and a row is emitted when its id is new — ids are dense
+// and assigned in first-seen order. The output is a selection vector
+// over the input batch, so the probe/emit path never boxes a types.Row
+// and performs no per-row allocation. NULLs compare equal here (SQL
+// DISTINCT groups them), unlike join keys.
 //
 // The selection buffer and batch header are reused across calls: a
 // returned batch is valid only until the next Next or Reset.
 type Distinct struct {
 	in   Operator
-	cols []int
-	doms []keyDomain
-
-	store     *types.Batch // one row per distinct key seen
-	table     *keyTable
-	storeKeys []*types.Vector
-	eq        func(probe, repr int32) bool
-
-	curKeys []*types.Vector // key projection of the batch being probed
-	curPhys int32           // physical row of the current probe (read by eq)
-	hashes  []uint64
-	rowBuf  [1]int32
-	sel     []int
-	out     types.Batch
+	keys *colKeys
+	gids []int32
+	sel  []int
+	out  types.Batch
 }
 
 // NewDistinct wraps in with duplicate elimination.
 func NewDistinct(in Operator) *Distinct {
 	s := in.Schema()
-	n := len(s.Cols)
-	cols := make([]int, n)
-	doms := make([]keyDomain, n)
+	cols := make([]int, len(s.Cols))
 	for i := range cols {
 		cols[i] = i
-		doms[i] = keyDomainOf(s.Cols[i].Type)
 	}
-	d := &Distinct{in: in, cols: cols, doms: doms}
-	// Created once: probes pass this stored func value, so per-row table
-	// lookups never allocate. The probing row lives in the current input
-	// batch (physical position d.curPhys — the table's probe argument is
-	// the store position the row would occupy, useless for comparison);
-	// the representative row indexes the store.
-	d.eq = func(_, repr int32) bool {
-		return keyColsEqual(d.curKeys, int(d.curPhys), d.storeKeys, int(repr), d.doms, true)
-	}
-	return d
+	return &Distinct{in: in, keys: newColKeys(s, cols)}
 }
 
 // Schema implements Operator.
@@ -60,34 +37,19 @@ func (d *Distinct) Schema() *types.Schema { return d.in.Schema() }
 
 // Next implements Operator.
 func (d *Distinct) Next() (*types.Batch, error) {
-	if d.store == nil {
-		d.store = types.NewBatch(d.in.Schema(), sortOutCap)
-		d.table = newKeyTable(64)
-		d.storeKeys = d.store.Cols
-	}
 	for {
 		b, err := d.in.Next()
 		if err != nil || b == nil {
 			return nil, err
 		}
-		n := b.Len()
-		d.hashes = grow(d.hashes, n)
-		// hasNull is nil: NULLs are ordinary (equal) keys for DISTINCT.
-		hashKeyCols(b, d.cols, d.doms, &d.curKeys, d.hashes, nil)
+		next := int32(d.keys.len())
+		d.gids = d.keys.assign(b, d.gids[:0])
 		sel := d.sel[:0]
-		for i := 0; i < n; i++ {
-			phys := int32(b.RowIdx(i))
-			d.curPhys = phys
-			// The row registers under the store position it will occupy,
-			// so duplicates later in the same batch resolve against it;
-			// the store append must follow immediately.
-			_, inserted := d.table.lookupOrInsert(d.hashes[i], int32(d.store.PhysLen()), d.eq)
-			if !inserted {
-				continue
+		for i, g := range d.gids {
+			if g == next {
+				sel = append(sel, b.RowIdx(i))
+				next++
 			}
-			d.rowBuf[0] = phys
-			d.store.GatherAppend(b, d.rowBuf[:])
-			sel = append(sel, int(phys))
 		}
 		d.sel = sel[:0]
 		if len(sel) == 0 {
@@ -101,8 +63,5 @@ func (d *Distinct) Next() (*types.Batch, error) {
 // Reset implements Operator.
 func (d *Distinct) Reset() {
 	d.in.Reset()
-	if d.store != nil {
-		d.store.Reset()
-		d.table.reset()
-	}
+	d.keys.reset()
 }

@@ -191,13 +191,13 @@ func TestHashJoinNullKeysNeverMatch(t *testing.T) {
 func TestHashAggregateGrouped(t *testing.T) {
 	src := NewSourceFromRows(testSchema(), testRows(99), 10)
 	agg := NewHashAggregate(src,
-		[]Expr{col(1, "cat")}, []string{"cat"},
+		[]int{1},
 		[]AggSpec{
 			{Func: AggCountStar},
-			{Func: AggSum, Arg: col(0, "id")},
-			{Func: AggMin, Arg: col(0, "id")},
-			{Func: AggMax, Arg: col(0, "id")},
-			{Func: AggAvg, Arg: col(2, "price")},
+			{Func: AggSum, Col: 0},
+			{Func: AggMin, Col: 0},
+			{Func: AggMax, Col: 0},
+			{Func: AggAvg, Col: 2},
 		})
 	rows, err := Collect(agg)
 	if err != nil {
@@ -228,9 +228,9 @@ func TestHashAggregateGrouped(t *testing.T) {
 
 func TestHashAggregateGlobalEmptyInput(t *testing.T) {
 	src := NewSourceFromRows(testSchema(), nil, 8)
-	agg := NewHashAggregate(src, nil, nil, []AggSpec{
+	agg := NewHashAggregate(src, nil, []AggSpec{
 		{Func: AggCountStar},
-		{Func: AggSum, Arg: col(0, "")},
+		{Func: AggSum, Col: 0},
 	})
 	rows, _ := Collect(agg)
 	if len(rows) != 1 {
@@ -249,11 +249,11 @@ func TestAggregateIgnoresNulls(t *testing.T) {
 	src := NewSourceFromRows(s, []types.Row{
 		{types.NewInt(10)}, {types.NewNull(types.Int64)}, {types.NewInt(20)},
 	}, 8)
-	agg := NewHashAggregate(src, nil, nil, []AggSpec{
-		{Func: AggCount, Arg: col(0, "")},
+	agg := NewHashAggregate(src, nil, []AggSpec{
+		{Func: AggCount, Col: 0},
 		{Func: AggCountStar},
-		{Func: AggSum, Arg: col(0, "")},
-		{Func: AggAvg, Arg: col(0, "")},
+		{Func: AggSum, Col: 0},
+		{Func: AggAvg, Col: 0},
 	})
 	rows, _ := Collect(agg)
 	r := rows[0]
@@ -305,7 +305,7 @@ func TestPipelineFilterAggSort(t *testing.T) {
 	// SELECT cat, COUNT(*) FROM t WHERE id < 60 GROUP BY cat ORDER BY cat
 	src := NewSourceFromRows(testSchema(), testRows(100), 13)
 	f := NewFilter(src, cmp(OpLt, col(0, ""), intLit(60)))
-	agg := NewHashAggregate(f, []Expr{col(1, "cat")}, []string{"cat"},
+	agg := NewHashAggregate(f, []int{1},
 		[]AggSpec{{Func: AggCountStar}})
 	s := NewSort(agg, []SortKey{{E: col(0, "cat")}})
 	rows, err := Collect(s)

@@ -9,11 +9,11 @@ import (
 )
 
 // This file holds the shared multi-column typed key machinery behind the
-// columnar hash operators: HashJoin, Distinct, and (via intGroupTable,
-// its single-int ancestor in agg_typed.go) grouped aggregation. Keys are
-// hashed and compared over raw typed column vectors — no types.Row
-// boxing on the probe path — with an equality re-check on every hash hit
-// so collisions are handled exactly.
+// columnar hash operators: HashJoin, Distinct, and grouped aggregation
+// over every key shape except a single Int64/Bool column (which probes
+// intGroupTable in agg_typed.go). Keys are hashed and compared over raw
+// typed column vectors — no types.Row boxing on the probe path — with an
+// equality re-check on every hash hit so collisions are handled exactly.
 
 // keyDomain classifies the representation one key column hashes and
 // compares in.
@@ -358,4 +358,86 @@ func (t *keyTable) reset() {
 	}
 	t.hashes = t.hashes[:0]
 	t.rows = t.rows[:0]
+}
+
+// colKeys assigns dense group ids to multi-column typed keys through
+// keyTable, for GROUP BY and DISTINCT. First-seen keys are kept in a
+// columnar store, one row per group, so a group's id, its table entry
+// and its store row coincide. NULLs are ordinary keys, equal to each
+// other.
+type colKeys struct {
+	cols  []int
+	doms  []keyDomain
+	table *keyTable
+	store []*types.Vector // one vector per key column
+
+	scratch []*types.Vector // hashKeyCols' key projection of the batch
+	hashes  []uint64
+	cur     []*types.Vector // key columns of the probing row (read by eq)
+	curPhys int32           // physical position of the probing row
+	one     [1]int32
+	eq      func(probe, repr int32) bool
+}
+
+func newColKeys(inS *types.Schema, cols []int) *colKeys {
+	k := &colKeys{cols: cols, doms: make([]keyDomain, len(cols)), table: newKeyTable(64), store: make([]*types.Vector, len(cols))}
+	for i, c := range cols {
+		t := inS.Cols[c].Type
+		k.doms[i] = keyDomainOf(t)
+		k.store[i] = types.NewVector(t, 64)
+	}
+	// Created once: probes pass this stored func value, so per-row table
+	// lookups never allocate. The table's probe argument is the store row
+	// the key would occupy, useless for comparison; the probing row is
+	// cur at curPhys.
+	k.eq = func(_, repr int32) bool {
+		return keyColsEqual(k.cur, int(k.curPhys), k.store, int(repr), k.doms, true)
+	}
+	return k
+}
+
+func (k *colKeys) len() int { return k.table.entries() }
+
+// insert returns the group of the key at physical position phys of the
+// columns src, whose hash is h, storing the key on first sight.
+func (k *colKeys) insert(h uint64, src []*types.Vector, phys int32) int32 {
+	k.cur, k.curPhys = src, phys
+	g, inserted := k.table.lookupOrInsert(h, int32(k.len()), k.eq)
+	if inserted {
+		k.one[0] = phys
+		for c, v := range k.store {
+			v.GatherAppend(src[c], k.one[:])
+		}
+	}
+	return g
+}
+
+func (k *colKeys) assign(b *types.Batch, gids []int32) []int32 {
+	n := b.Len()
+	k.hashes = grow(k.hashes, n)
+	// hasNull is nil: NULLs are ordinary (equal) keys here.
+	hashKeyCols(b, k.cols, k.doms, &k.scratch, k.hashes, nil)
+	for i := 0; i < n; i++ {
+		gids = append(gids, k.insert(k.hashes[i], k.scratch, int32(b.RowIdx(i))))
+	}
+	return gids
+}
+
+// absorb re-probes o's stored keys with the hashes o's table kept.
+func (k *colKeys) absorb(other groupKeys, ids []int32) []int32 {
+	o := other.(*colKeys)
+	for g, h := range o.table.hashes {
+		ids = append(ids, k.insert(h, o.store, int32(g)))
+	}
+	return ids
+}
+
+func (k *colKeys) vectors() []*types.Vector { return k.store }
+
+// reset forgets every group, keeping capacity.
+func (k *colKeys) reset() {
+	k.table.reset()
+	for _, v := range k.store {
+		v.Reset()
+	}
 }

@@ -214,13 +214,13 @@ func TestPipelineSerialFallback(t *testing.T) {
 func aggSpecsForParity() []AggSpec {
 	return []AggSpec{
 		{Func: AggCountStar, Name: "n"},
-		{Func: AggCount, Arg: &ColRef{Idx: 1}, Name: "cnt_vi"},
-		{Func: AggSum, Arg: &ColRef{Idx: 1}, Name: "sum_vi"},
-		{Func: AggMin, Arg: &ColRef{Idx: 1}, Name: "min_vi"},
-		{Func: AggMax, Arg: &ColRef{Idx: 1}, Name: "max_vi"},
-		{Func: AggSum, Arg: &ColRef{Idx: 2}, Name: "sum_vf"},
-		{Func: AggAvg, Arg: &ColRef{Idx: 2}, Name: "avg_vf"},
-		{Func: AggMin, Arg: &ColRef{Idx: 2}, Name: "min_vf"},
+		{Func: AggCount, Col: 1, Name: "cnt_vi"},
+		{Func: AggSum, Col: 1, Name: "sum_vi"},
+		{Func: AggMin, Col: 1, Name: "min_vi"},
+		{Func: AggMax, Col: 1, Name: "max_vi"},
+		{Func: AggSum, Col: 2, Name: "sum_vf"},
+		{Func: AggAvg, Col: 2, Name: "avg_vf"},
+		{Func: AggMin, Col: 2, Name: "min_vf"},
 	}
 }
 
@@ -231,9 +231,9 @@ func TestParallelGroupedAggParity(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		schema, batches := pipelineFixture(t, rng, 8+rng.Intn(8), 256, 1+rng.Intn(40))
-		groups := []Expr{&ColRef{Idx: 0, Name: "k"}}
+		groups := []int{0}
 
-		serialAgg := NewHashAggregate(NewSource(schema, batches), groups, nil, aggSpecsForParity())
+		serialAgg := NewHashAggregate(NewSource(schema, batches), groups, aggSpecsForParity())
 		want, err := Collect(serialAgg)
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +244,7 @@ func TestParallelGroupedAggParity(t *testing.T) {
 			if _, ok := in.(*Pipeline); !ok {
 				t.Fatal("bare ParallelSource must mark")
 			}
-			par := NewHashAggregate(in, groups, nil, aggSpecsForParity())
+			par := NewHashAggregate(in, groups, aggSpecsForParity())
 			got, err := Collect(par)
 			if err != nil {
 				t.Fatal(err)
@@ -261,12 +261,12 @@ func TestParallelGlobalAggParity(t *testing.T) {
 	schema, batches := pipelineFixture(t, rng, 12, 256, 16)
 	pred := &BinOp{Kind: OpLt, L: &ColRef{Idx: 1}, R: &Const{Val: types.NewInt(100)}}
 
-	want, err := Collect(NewHashAggregate(NewFilter(NewSource(schema, batches), pred), nil, nil, aggSpecsForParity()))
+	want, err := Collect(NewHashAggregate(NewFilter(NewSource(schema, batches), pred), nil, aggSpecsForParity()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := &parSource{schema: schema, batches: batches, max: 4}
-	got, err := Collect(NewHashAggregate(MarkPipeline(NewFilter(src, pred), 4), nil, nil, aggSpecsForParity()))
+	got, err := Collect(NewHashAggregate(MarkPipeline(NewFilter(src, pred), 4), nil, aggSpecsForParity()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,20 +374,16 @@ func TestPipelineWorkerStageAllocs(t *testing.T) {
 	pred := &BinOp{Kind: OpGe, L: &ColRef{Idx: 1}, R: &Const{Val: types.NewInt(-1000)}}
 
 	wf := filterSpec{pred: pred}.newWorkerStage()
-	plan, ok := compileTypedAggs(schema, []AggSpec{
-		{Func: AggCountStar}, {Func: AggSum, Arg: &ColRef{Idx: 1}},
-		{Func: AggMin, Arg: &ColRef{Idx: 2}},
+	agg := NewHashAggregate(NewSource(schema, nil), []int{0}, []AggSpec{
+		{Func: AggCountStar}, {Func: AggSum, Col: 1}, {Func: AggMin, Col: 2},
 	})
-	if !ok {
-		t.Fatal("typed plan must compile")
-	}
-	acc := newTypedGroupAcc(len(plan))
+	acc := newGroupAcc(schema, agg.groups, agg.plan)
 	process := func() {
 		fb, err := wf.apply(b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc.consume(fb, 0, plan)
+		acc.consume(fb)
 	}
 	process() // warm: table growth, gid buffer, selection buffer
 	process()

@@ -132,6 +132,9 @@ func TestParallelSQLParity(t *testing.T) {
 		`SELECT id, v FROM r ORDER BY v, id DESC`,
 		`SELECT a.id, b.v FROM r a JOIN r b ON a.grp = b.grp WHERE a.id < 40 AND b.id < 60`,
 		`SELECT grp, SUM(v) AS sv FROM r GROUP BY grp ORDER BY sv DESC LIMIT 5`,
+		// Computed keys and arguments: the projection runs on the workers.
+		`SELECT grp + 1, v > 0, COUNT(*), SUM(v * 2), AVG(f + v), MIN(f - 1), MAX(v) FROM r GROUP BY grp + 1, v > 0`,
+		`SELECT f, COUNT(*), SUM(v) FROM r WHERE v < 100 GROUP BY f`,
 	}
 	for _, q := range queries {
 		want, err := serial.Exec(q)

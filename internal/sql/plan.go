@@ -711,8 +711,10 @@ func collectAggs(items []SelectItem, having AstExpr, order []OrderItem) []*AggEx
 // planAggregate lowers GROUP BY + aggregates, then HAVING/ORDER/LIMIT
 // and the final projection against the post-aggregation scope.
 func planAggregate(op exec.Operator, sc *scope, st *SelectStmt, items []SelectItem, aggs []*AggExpr) (exec.Operator, error) {
-	groupExprs := make([]exec.Expr, len(st.GroupBy))
-	for i, g := range st.GroupBy {
+	// Group keys, then aggregate arguments, as expressions over op.
+	// COUNT(*) has no argument and takes no slot.
+	var inputs []exec.Expr
+	for _, g := range st.GroupBy {
 		// Group-key and aggregate output types are fixed at plan time;
 		// an unbound `?` has none (see expandStars).
 		if containsParam(g) {
@@ -722,8 +724,9 @@ func planAggregate(op exec.Operator, sc *scope, st *SelectStmt, items []SelectIt
 		if err != nil {
 			return nil, err
 		}
-		groupExprs[i] = ge
+		inputs = append(inputs, ge)
 	}
+	inS := op.Schema()
 	specs := make([]exec.AggSpec, len(aggs))
 	for i, a := range aggs {
 		if !a.Star && containsParam(a.Arg) {
@@ -751,14 +754,42 @@ func planAggregate(op exec.Operator, sc *scope, st *SelectStmt, items []SelectIt
 			if err != nil {
 				return nil, err
 			}
-			spec.Arg = ae
+			if t := ae.Type(inS); t == types.String && (spec.Func == exec.AggSum || spec.Func == exec.AggAvg) {
+				return nil, fmt.Errorf("%w: %s over %s argument %s", ErrTypeMismatch, a.Func, t, renderAst(a.Arg))
+			}
+			spec.Col = len(inputs) // an index into inputs until mapped below
+			inputs = append(inputs, ae)
 		}
 		specs[i] = spec
+	}
+	// The aggregate takes columns, never expressions. When every key and
+	// argument is a bare column it reads op directly; otherwise a
+	// projection computes them into columns below it, inside the chain
+	// MarkPipeline hands to the morsel workers.
+	cols := make([]int, len(inputs))
+	project := false
+	for i, e := range inputs {
+		if cr, ok := e.(*exec.ColRef); ok {
+			cols[i] = cr.Idx
+		} else {
+			project = true
+		}
+	}
+	if project {
+		op = exec.NewProjection(op, inputs, nil)
+		for i := range cols {
+			cols[i] = i
+		}
+	}
+	for i := range specs {
+		if specs[i].Func != exec.AggCountStar {
+			specs[i].Col = cols[specs[i].Col]
+		}
 	}
 	// Aggregation is a pipeline breaker: mark the chain below it so the
 	// morsel workers run filter → projection → partial aggregation
 	// thread-locally, merged at this operator.
-	agg := exec.NewHashAggregate(exec.MarkPipeline(op, sc.pc.engine.Parallelism()), groupExprs, nil, specs)
+	agg := exec.NewHashAggregate(exec.MarkPipeline(op, sc.pc.engine.Parallelism()), cols[:len(st.GroupBy)], specs)
 
 	// Post-aggregation scope: group keys (matched structurally by their
 	// scope-resolved rendering) then aggregates.

@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -154,6 +155,31 @@ func TestAggregates(t *testing.T) {
 	row := r.Rows[0]
 	if row[0].I != 5 || row[1].I != 150 || row[2].I != 10 || row[3].I != 50 || row[4].F != 30 {
 		t.Fatalf("aggregates = %v", row)
+	}
+}
+
+// TestAggregateComputedInputs: computed group keys and aggregate
+// arguments run through a projection below the aggregate; bare columns
+// feed it directly.
+func TestAggregateComputedInputs(t *testing.T) {
+	s := newSession(t)
+	setupItems(t, s)
+	r := mustExec(t, s, `SELECT cat, SUM(qty * 2), MAX(price + 1), MIN(cat) FROM items GROUP BY cat ORDER BY cat`)
+	want := []string{"fruit 60 3.5 fruit", "meat 100 10 meat", "veg 140 2 veg"}
+	for i, row := range r.Rows {
+		if got := fmt.Sprintf("%s %d %g %s", row[0].S, row[1].I, row[2].F, row[3].S); i >= len(want) || got != want[i] {
+			t.Fatalf("row %d = %q, want %v", i, got, want)
+		}
+	}
+	r = mustExec(t, s, `SELECT qty > 25, COUNT(*), SUM(price) FROM items GROUP BY qty > 25 ORDER BY qty > 25`)
+	if len(r.Rows) != 2 || r.Rows[0][1].I != 2 || r.Rows[0][2].F != 4 || r.Rows[1][1].I != 3 || r.Rows[1][2].F != 10.5 {
+		t.Fatalf("computed bool key: %v", r.Rows)
+	}
+	if plan := planOf(t, s, `SELECT cat, SUM(qty * 2) FROM items GROUP BY cat`); strings.Count(plan, "Projection(") != 2 {
+		t.Fatalf("computed argument must be projected below the aggregate:\n%s", plan)
+	}
+	if plan := planOf(t, s, `SELECT cat, SUM(qty) FROM items GROUP BY cat`); strings.Count(plan, "Projection(") != 1 {
+		t.Fatalf("bare columns need no projection:\n%s", plan)
 	}
 }
 
