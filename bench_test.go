@@ -457,8 +457,9 @@ func BenchmarkE5_ReadersUnderWrites(b *testing.B) {
 
 // ---------------------------------------------------------------------
 // E6 — Morsel-parallel segment scans: one query fanned over a worker
-// pool (zones dealt by an atomic cursor into per-worker batch pools)
-// scales with workers. workers=1 is the serial Segment.Scan baseline.
+// pool (zones dealt by an atomic cursor, one reused batch per worker)
+// scales with workers. workers=1 is the same Segment.Scan run inline
+// on the caller's goroutine: the serial baseline.
 // ---------------------------------------------------------------------
 
 func BenchmarkE6_Scans(b *testing.B) {
@@ -469,19 +470,14 @@ func BenchmarkE6_Scans(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				var acc int64
-				fn := func(batch *types.Batch) bool {
+				seg.Scan(100, 0, []int{1}, nil, workers, nil, func(_ int, batch *types.Batch) bool {
 					var local int64
 					for _, v := range batch.Cols[0].Ints {
 						local += v
 					}
 					atomic.AddInt64(&acc, local)
 					return true
-				}
-				if workers <= 1 {
-					seg.Scan(100, 0, []int{1}, nil, fn)
-				} else {
-					seg.ScanParallel(100, 0, []int{1}, nil, workers, nil, fn)
-				}
+				})
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mrows/s")
 		})
@@ -985,7 +981,7 @@ func BenchmarkE11_ZoneMapPruning(b *testing.B) {
 			var stats colstore.ScanStats
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				stats = seg.Scan(100, 0, []int{0}, preds, func(batch *types.Batch) bool { return true })
+				stats = seg.Scan(100, 0, []int{0}, preds, 1, nil, func(_ int, batch *types.Batch) bool { return true })
 			}
 			b.ReportMetric(100*float64(stats.ZonesPruned)/float64(stats.ZonesTotal), "pruned%")
 		})
@@ -1289,7 +1285,7 @@ func BenchmarkE17_ScanSkipping(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						rows = 0
-						stats = st.Scan(100, 0, []int{0, 3}, preds, func(batch *types.Batch) bool {
+						stats = st.Scan(100, 0, []int{0, 3}, preds, 1, nil, func(_ int, batch *types.Batch) bool {
 							rows += batch.Len()
 							return true
 						})

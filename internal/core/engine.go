@@ -83,10 +83,10 @@ type Options struct {
 	MergeThreshold int
 	// Parallelism is the worker count for analytic segment scans and
 	// the exec-layer parallel pipelines above them. Values <= 0 default
-	// to runtime.GOMAXPROCS(0); 1 keeps scans single-threaded. When the
-	// effective value is > 1, column-store scans run morsel-parallel
-	// and the batches delivered to Scan callbacks are pooled: valid
-	// only until the callback returns (retainers must Copy them).
+	// to runtime.GOMAXPROCS(0); 1 runs the morsel scan with one worker
+	// on the caller's goroutine. It does not change batch lifetimes: a
+	// batch delivered to a Scan callback is valid only until the
+	// callback returns (retainers must Copy it).
 	Parallelism int
 	// DisableJoinReorder forces the SQL planner to join tables in
 	// syntactic order instead of the statistics-driven greedy order —
@@ -639,12 +639,10 @@ func (t *Tx) Get(table string, key types.Row) (types.Row, bool, error) {
 // Scan streams every visible row of the table: column segments first
 // (vectorized), then the delta, under one consistent snapshot.
 //
-// Batch lifetime: with Options.Parallelism forced to 1 every batch
-// handed to fn is freshly allocated and may be retained. With the
-// default (Parallelism resolves to GOMAXPROCS) on a multi-core machine
-// the scan runs morsel-parallel and every batch — cold and delta — is
-// pooled: valid only until fn returns, so retainers must Batch.Copy
-// them (TableScan does this automatically).
+// The scan runs on Options.Parallelism morsel workers, but fn is called
+// by one goroutine at a time. Every batch handed to fn is valid only
+// until fn returns, at any Parallelism: retainers must Batch.Copy it
+// (TableScan does this automatically).
 //
 // In 2PL mode the scan takes a shared lock on the whole table (strict
 // S2PL at coarse granularity — the classical behaviour the tutorial's
@@ -672,40 +670,21 @@ func (t *Tx) ScanCtx(ctx context.Context, table string, proj []int, preds []cols
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	stats := scanTableFn(tbl, t.inner.ReadTS, t.inner.ID, proj, preds, t.engine.opts.Parallelism, done, func(b *types.Batch, pooled bool) bool {
-		return fn(b)
+	// Funnel the workers through one mutex: fn sees one batch at a time
+	// and, once it has returned false, is not called again.
+	var (
+		mu      sync.Mutex
+		stopped bool
+	)
+	stats := scanTable(tbl, t.inner.ReadTS, t.inner.ID, proj, preds, t.engine.opts.Parallelism, done, func(_ int, b *types.Batch) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if stopped || colstore.IsDone(done) {
+			return false
+		}
+		stopped = !fn(b)
+		return !stopped
 	})
-	if ctx != nil && ctx.Err() != nil {
-		return stats, ctx.Err()
-	}
-	return stats, nil
-}
-
-// ScanWorkers is the parallel-consume variant of ScanCtx: fn is
-// invoked concurrently from up to workers morsel goroutines, each call
-// carrying the producing worker's id (delta rows arrive on worker 0
-// after the cold workers join). There is no cross-worker funnel, so fn
-// must be safe for concurrent calls with distinct worker ids; batches
-// are pooled and valid only until fn returns. workers <= 0 uses the
-// engine's configured parallelism. All workers have exited when
-// ScanWorkers returns; a cancelled ctx stops the scan within one zone
-// boundary and returns ctx.Err().
-func (t *Tx) ScanWorkers(ctx context.Context, table string, proj []int, preds []colstore.Predicate, workers int, fn func(worker int, b *types.Batch) bool) (colstore.ScanStats, error) {
-	tbl, err := t.engine.Table(table)
-	if err != nil {
-		return colstore.ScanStats{}, err
-	}
-	if err := t.lockTableShared(tbl); err != nil {
-		return colstore.ScanStats{}, err
-	}
-	if workers <= 0 {
-		workers = t.engine.opts.Parallelism
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	stats := scanTableWorkers(tbl, t.inner.ReadTS, t.inner.ID, proj, preds, workers, done, fn)
 	if ctx != nil && ctx.Err() != nil {
 		return stats, ctx.Err()
 	}
@@ -725,92 +704,24 @@ func (t *Tx) lockTableShared(tbl *Table) error {
 // 2PL mode.
 var tableLockKey = types.Row{types.NewString("\x00table")}
 
-// scanTable unions the column store and the delta at one snapshot.
-func scanTable(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, fn func(b *types.Batch) bool) colstore.ScanStats {
-	return scanTableFn(tbl, readTS, self, proj, preds, 1, nil, func(b *types.Batch, pooled bool) bool {
-		return fn(b)
-	})
-}
-
-// scanTableFn is the full-fidelity scan driver: pooled reports whether
-// the delivered batch is transient (owned by a scan pool and valid only
-// during the callback). In a parallel scan every batch — cold and
-// delta — is pooled; only serial scans deliver freshly allocated,
-// retainable batches.
-//
-// done, when non-nil, cancels the scan: the column-store half checks it
-// between zones (morsel workers exit before their segment scan returns)
-// and the delta half checks it between batches.
-func scanTableFn(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, parallelism int, done <-chan struct{}, fn func(b *types.Batch, pooled bool) bool) colstore.ScanStats {
-	tbl.storageMu.RLock()
-	defer tbl.storageMu.RUnlock()
-	if proj == nil {
-		proj = make([]int, len(tbl.schema.Cols))
-		for i := range proj {
-			proj[i] = i
-		}
-	}
-	cancelled := func() bool { return colstore.IsDone(done) }
-	stop := false
-	parallel := parallelism > 1
-	coldFn := func(b *types.Batch) bool {
-		if cancelled() || !fn(b, parallel) {
-			stop = true
-			return false
-		}
-		return true
-	}
-	var stats colstore.ScanStats
-	if parallel {
-		stats = tbl.cold.ScanParallel(readTS, self, proj, preds, parallelism, done, coldFn)
-	} else {
-		stats = tbl.cold.Scan(readTS, self, proj, preds, coldFn)
-	}
-	if stop || cancelled() {
-		tbl.recordScan(stats)
-		return stats
-	}
-	scanDelta(tbl, readTS, self, proj, preds, parallel, done, &stats, func(b *types.Batch) bool {
-		return fn(b, parallel)
-	})
-	tbl.recordScan(stats)
-	return stats
-}
-
 // deltaBatchSize is the batch granularity delta rows stream at.
 const deltaBatchSize = 1024
 
 // scanDelta streams the table's visible delta rows (primary-key order,
-// batched) to fn, accumulating stats. When pooled is true the batches
-// come from a BatchPool and are reused across flushes — valid only
-// until fn returns, like the parallel cold path's worker batches; when
-// false every batch is freshly allocated and may be retained. The
-// caller must hold tbl.storageMu.
-func scanDelta(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, pooled bool, done <-chan struct{}, stats *colstore.ScanStats, fn func(b *types.Batch) bool) {
-	projSchema := projectSchema(tbl.schema, proj)
-	var pool *types.BatchPool
-	nextBatch := func() *types.Batch {
-		if pooled {
-			if pool == nil {
-				pool = types.NewBatchPool(projSchema, deltaBatchSize)
-			}
-			return pool.Get()
-		}
-		return types.NewBatch(projSchema, deltaBatchSize)
-	}
-	batch := nextBatch()
+// batched) to fn, accumulating stats. One batch is reused across
+// flushes, so each is valid only until fn returns. The caller must hold
+// tbl.storageMu.
+func scanDelta(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, done <-chan struct{}, stats *colstore.ScanStats, fn func(b *types.Batch) bool) {
+	var batch *types.Batch
 	flush := func() bool {
-		if batch.Len() == 0 {
+		if batch == nil || batch.Len() == 0 {
 			return true
 		}
 		if colstore.IsDone(done) {
 			return false
 		}
 		ok := fn(batch)
-		if pooled {
-			pool.Put(batch)
-		}
-		batch = nextBatch()
+		batch.Reset()
 		return ok
 	}
 	tbl.delta.Scan(readTS, self, func(row types.Row) bool {
@@ -823,6 +734,9 @@ func scanDelta(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Pre
 		for i, ci := range proj {
 			out[i] = row[ci]
 		}
+		if batch == nil {
+			batch = types.NewBatch(projectSchema(tbl.schema, proj), deltaBatchSize)
+		}
 		batch.AppendRow(out)
 		if batch.Len() >= deltaBatchSize {
 			return flush()
@@ -832,15 +746,15 @@ func scanDelta(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Pre
 	flush()
 }
 
-// scanTableWorkers is the parallel-consume scan driver beneath the exec
-// pipeline: cold-store batches are delivered concurrently to fn with
-// the producing worker's id (0..workers-1, no cross-worker funnel —
-// see colstore.Segment.ScanParallelWorkers), then the delta streams to
-// worker 0 on the calling goroutine once the cold workers have joined.
-// Every batch is pooled/transient: valid only until fn returns. fn
-// returning false (any worker) stops the scan; done cancels it between
-// zones/batches.
-func scanTableWorkers(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) colstore.ScanStats {
+// scanTable is the table-scan driver: it unions the column store and
+// the delta at one snapshot. Cold-store batches are delivered
+// concurrently to fn with the producing worker's id (0..workers-1, see
+// colstore.Segment.Scan); then the delta streams to worker 0 on the
+// calling goroutine once the cold workers have joined. With one worker
+// the whole scan runs inline on the caller's goroutine. Every batch is
+// valid only until fn returns. fn returning false (any worker) stops
+// the scan; done cancels it between zones/batches.
+func scanTable(tbl *Table, readTS, self uint64, proj []int, preds []colstore.Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) colstore.ScanStats {
 	tbl.storageMu.RLock()
 	defer tbl.storageMu.RUnlock()
 	if proj == nil {
@@ -850,7 +764,7 @@ func scanTableWorkers(tbl *Table, readTS, self uint64, proj []int, preds []colst
 		}
 	}
 	var stopped atomic.Bool
-	stats := tbl.cold.ScanParallelWorkers(readTS, self, proj, preds, workers, done, func(w int, b *types.Batch) bool {
+	stats := tbl.cold.Scan(readTS, self, proj, preds, workers, done, func(w int, b *types.Batch) bool {
 		if !fn(w, b) {
 			stopped.Store(true)
 			return false
@@ -861,7 +775,7 @@ func scanTableWorkers(tbl *Table, readTS, self uint64, proj []int, preds []colst
 		tbl.recordScan(stats)
 		return stats
 	}
-	scanDelta(tbl, readTS, self, proj, preds, true, done, &stats, func(b *types.Batch) bool {
+	scanDelta(tbl, readTS, self, proj, preds, done, &stats, func(b *types.Batch) bool {
 		return fn(0, b)
 	})
 	tbl.recordScan(stats)

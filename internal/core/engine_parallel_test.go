@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/exec"
@@ -88,6 +89,51 @@ func TestScanParallelismOption(t *testing.T) {
 	}
 	if serial.rows == 0 {
 		t.Fatal("scan matched nothing; fixture broken")
+	}
+}
+
+// TestScanCtxCallsFnSerially: Tx.ScanCtx runs the morsel scan on
+// several workers but funnels them, so fn may mutate unsynchronized
+// state (make race flags a broken funnel) and is never re-entered; once
+// fn returns false it is not called again.
+func TestScanCtxCallsFnSerially(t *testing.T) {
+	e := buildParallelEngine(t, 4)
+	defer e.Close()
+	tx := e.Begin()
+	defer tx.Abort()
+	var inside atomic.Int32
+	rows, batches := 0, 0
+	seen := map[int64]bool{}
+	_, err := tx.ScanCtx(context.Background(), "t", []int{0}, nil, func(b *types.Batch) bool {
+		if inside.Add(1) != 1 {
+			t.Error("fn entered concurrently")
+		}
+		defer inside.Add(-1)
+		batches++
+		for i := 0; i < b.Len(); i++ {
+			seen[b.Cols[0].Ints[b.RowIdx(i)]] = true
+			rows++
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows != 10_500 || len(seen) != rows {
+		t.Fatalf("rows = %d, distinct ids = %d, want 10500 each", rows, len(seen))
+	}
+	if batches < 4 {
+		t.Fatalf("batches = %d: fixture too small to exercise the funnel", batches)
+	}
+	calls := 0
+	if _, err := tx.ScanCtx(context.Background(), "t", []int{0}, nil, func(b *types.Batch) bool {
+		calls++
+		return calls < 2
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if calls != 2 {
+		t.Fatalf("fn called %d times, want 2 (no call after it returned false)", calls)
 	}
 }
 

@@ -182,16 +182,13 @@ func (t *TableScan) start() {
 			run.errc <- err
 			return
 		}
-		stats := scanTableFn(t.tbl, tx.inner.ReadTS, tx.inner.ID, t.proj, t.preds,
+		// Scan batches are valid only during the callback: each worker
+		// detaches its own copy before it crosses the channel.
+		stats := scanTable(t.tbl, tx.inner.ReadTS, tx.inner.ID, t.proj, t.preds,
 			t.engine.opts.Parallelism, run.done,
-			func(b *types.Batch, pooled bool) bool {
-				if pooled {
-					// Pooled parallel-scan batches are only valid during
-					// the callback; detach before crossing the channel.
-					b = b.Copy()
-				}
+			func(_ int, b *types.Batch) bool {
 				select {
-				case run.ch <- b:
+				case run.ch <- b.Copy():
 					return true
 				case <-run.done:
 					return false
@@ -246,9 +243,10 @@ func (t *TableScan) MaxWorkers() int { return t.engine.opts.Parallelism }
 // arrive on worker 0 after the cold workers join). Unlike Next, no
 // producer goroutine or channel is involved — the exec pipeline driver
 // consumes each batch on the worker that produced it. Batches are
-// pooled: valid only until fn returns. fn returning false stops the
-// scan. All workers have exited when ScanWorkers returns; cancellation
-// of the bound context surfaces as its ctx.Err().
+// valid only until fn returns. fn returning false stops the scan.
+// workers <= 0 uses the engine's configured parallelism. All workers
+// have exited when ScanWorkers returns; cancellation of the bound
+// context surfaces as its ctx.Err().
 func (t *TableScan) ScanWorkers(workers int, fn func(worker int, b *types.Batch) bool) error {
 	if t.tx == nil {
 		return fmt.Errorf("core: TableScan on %q is not bound to a transaction", t.tbl.name)
@@ -267,7 +265,7 @@ func (t *TableScan) ScanWorkers(workers int, fn func(worker int, b *types.Batch)
 	if ctx != nil {
 		done = ctx.Done()
 	}
-	t.Stats = scanTableWorkers(t.tbl, tx.inner.ReadTS, tx.inner.ID, t.proj, t.preds, workers, done, fn)
+	t.Stats = scanTable(t.tbl, tx.inner.ReadTS, tx.inner.ID, t.proj, t.preds, workers, done, fn)
 	if ctx != nil && ctx.Err() != nil {
 		return ctx.Err()
 	}

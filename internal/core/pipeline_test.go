@@ -229,27 +229,32 @@ func TestTableScanScanWorkersMatchesSerial(t *testing.T) {
 			parN.Load(), parSum.Load(), serialN, serialSum)
 	}
 
-	// The Tx-level surface (resolves the table by name, workers <= 0
-	// uses the engine default) must agree, and early stop must hold.
-	var txSum, txN atomic.Int64
-	if _, err := tx.ScanWorkers(context.Background(), "t", []int{0, 2}, nil, 0, func(w int, b *types.Batch) bool {
+	// workers <= 0 uses the engine default and must agree; early stop
+	// must hold.
+	ts3, err := tx.ScanOperator(context.Background(), "t", []int{0, 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ts3.Close()
+	var defSum, defN atomic.Int64
+	if err := ts3.ScanWorkers(0, func(w int, b *types.Batch) bool {
 		var s, n int64
 		for i := 0; i < b.Len(); i++ {
 			s += b.Cols[1].Ints[b.RowIdx(i)]
 			n++
 		}
-		txSum.Add(s)
-		txN.Add(n)
+		defSum.Add(s)
+		defN.Add(n)
 		return true
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if txSum.Load() != serialSum || txN.Load() != serialN {
-		t.Fatalf("Tx.ScanWorkers (%d rows, sum %d) != serial (%d rows, sum %d)",
-			txN.Load(), txSum.Load(), serialN, serialSum)
+	if defSum.Load() != serialSum || defN.Load() != serialN {
+		t.Fatalf("ScanWorkers(0) (%d rows, sum %d) != serial (%d rows, sum %d)",
+			defN.Load(), defSum.Load(), serialN, serialSum)
 	}
 	var stopped atomic.Int64
-	if _, err := tx.ScanWorkers(context.Background(), "t", []int{0}, nil, testParallelism(), func(w int, b *types.Batch) bool {
+	if err := ts3.ScanWorkers(testParallelism(), func(w int, b *types.Batch) bool {
 		stopped.Add(1)
 		return false // stop after each worker's first batch at most
 	}); err != nil {

@@ -149,7 +149,7 @@ func (j *HashJoin) build() error {
 
 // buildDrainParallel materializes the build side through the pipeline's
 // morsel workers: each worker bulk-appends its transient batches into a
-// private store (the copy out of the pooled scan batches that the
+// private store (the copy out of the transient scan batches that the
 // serial path pays anyway), and the worker stores are stitched into
 // one (largest adopted, rest appended). Build row order — and so match
 // order within one probe row's chain — depends on zone dealing, as for

@@ -111,19 +111,27 @@ func (f *Filter) Next() (*types.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		sel := f.sel[:0]
-		for i := 0; i < b.Len(); i++ {
-			if v := f.pred.Eval(b, i); !v.Null && v.Bool() {
-				sel = append(sel, b.RowIdx(i))
-			}
+		if out, err := f.apply(b); err != nil || out != nil {
+			return out, err
 		}
-		f.sel = sel[:0]
-		if len(sel) == 0 {
-			continue
-		}
-		f.out = types.Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel}
-		return &f.out, nil
 	}
+}
+
+// apply narrows b's selection to the rows matching the predicate; it
+// returns nil when no row survives.
+func (f *Filter) apply(b *types.Batch) (*types.Batch, error) {
+	sel := f.sel[:0]
+	for i := 0; i < b.Len(); i++ {
+		if v := f.pred.Eval(b, i); !v.Null && v.Bool() {
+			sel = append(sel, b.RowIdx(i))
+		}
+	}
+	f.sel = sel[:0]
+	if len(sel) == 0 {
+		return nil, nil
+	}
+	f.out = types.Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel}
+	return &f.out, nil
 }
 
 // Reset implements Operator.
@@ -164,6 +172,12 @@ func (p *Projection) Next() (*types.Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
+	return p.apply(b)
+}
+
+// apply evaluates the projection expressions over b into the reused
+// output batch.
+func (p *Projection) apply(b *types.Batch) (*types.Batch, error) {
 	if p.out == nil {
 		p.out = types.NewBatch(p.schema, b.Len())
 	} else {

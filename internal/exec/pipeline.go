@@ -32,11 +32,10 @@ type ParallelSource interface {
 	ScanWorkers(workers int, fn func(worker int, b *types.Batch) bool) error
 }
 
-// stageSpec describes one pipeline stage compiled from a serial
-// operator; newWorkerStage instantiates the per-worker state (private
-// selection buffers, output batches) so workers never share mutable
-// state. The underlying Exprs are shared: expression evaluation is
-// read-only.
+// stageSpec is a pipeline stage (*Filter or *Projection);
+// newWorkerStage instantiates the per-worker state (private selection
+// buffers, output batches) so workers never share mutable state. The
+// underlying Exprs are shared: expression evaluation is read-only.
 type stageSpec interface {
 	newWorkerStage() workerStage
 }
@@ -48,59 +47,10 @@ type workerStage interface {
 	apply(b *types.Batch) (*types.Batch, error)
 }
 
-// filterSpec compiles a Filter: per-worker selection buffer + batch
-// header, same selection-vector semantics as Filter.Next.
-type filterSpec struct{ pred Expr }
+func (f *Filter) newWorkerStage() workerStage { return &Filter{pred: f.pred} }
 
-type workerFilter struct {
-	pred Expr
-	sel  []int
-	out  types.Batch
-}
-
-func (f filterSpec) newWorkerStage() workerStage { return &workerFilter{pred: f.pred} }
-
-func (f *workerFilter) apply(b *types.Batch) (*types.Batch, error) {
-	sel := f.sel[:0]
-	for i := 0; i < b.Len(); i++ {
-		if v := f.pred.Eval(b, i); !v.Null && v.Bool() {
-			sel = append(sel, b.RowIdx(i))
-		}
-	}
-	f.sel = sel[:0]
-	if len(sel) == 0 {
-		return nil, nil
-	}
-	f.out = types.Batch{Schema: b.Schema, Cols: b.Cols, Sel: sel}
-	return &f.out, nil
-}
-
-// projSpec compiles a Projection: per-worker output batch, shared
-// expression trees.
-type projSpec struct {
-	exprs  []Expr
-	schema *types.Schema
-}
-
-type workerProj struct {
-	spec projSpec
-	out  *types.Batch
-}
-
-func (p projSpec) newWorkerStage() workerStage { return &workerProj{spec: p} }
-
-func (p *workerProj) apply(b *types.Batch) (*types.Batch, error) {
-	if p.out == nil {
-		p.out = types.NewBatch(p.spec.schema, b.Len())
-	} else {
-		p.out.Reset()
-	}
-	for i := 0; i < b.Len(); i++ {
-		for c, e := range p.spec.exprs {
-			p.out.Cols[c].Append(e.Eval(b, i))
-		}
-	}
-	return p.out, nil
+func (p *Projection) newWorkerStage() workerStage {
+	return &Projection{exprs: p.exprs, schema: p.schema}
 }
 
 // Pipeline wraps the operator chain between a parallel scan leaf and a
@@ -131,10 +81,10 @@ func MarkPipeline(op Operator, workers int) Operator {
 	for {
 		switch v := cur.(type) {
 		case *Filter:
-			topDown = append(topDown, filterSpec{pred: v.pred})
+			topDown = append(topDown, v)
 			cur = v.in
 		case *Projection:
-			topDown = append(topDown, projSpec{exprs: v.exprs, schema: v.schema})
+			topDown = append(topDown, v)
 			cur = v.in
 		case ParallelSource:
 			if v.MaxWorkers() <= 1 {

@@ -169,7 +169,7 @@ func TestMarkPipelineShapes(t *testing.T) {
 	if len(p.stages) != 2 {
 		t.Fatalf("stages = %d, want 2", len(p.stages))
 	}
-	if _, isFilter := p.stages[0].(filterSpec); !isFilter {
+	if _, isFilter := p.stages[0].(*Filter); !isFilter {
 		t.Fatal("stages must be bottom-up: filter first")
 	}
 
@@ -373,7 +373,7 @@ func TestPipelineWorkerStageAllocs(t *testing.T) {
 	b := batches[0]
 	pred := &BinOp{Kind: OpGe, L: &ColRef{Idx: 1}, R: &Const{Val: types.NewInt(-1000)}}
 
-	wf := filterSpec{pred: pred}.newWorkerStage()
+	wf := NewFilter(nil, pred).newWorkerStage()
 	agg := NewHashAggregate(NewSource(schema, nil), []int{0}, []AggSpec{
 		{Func: AggCountStar}, {Func: AggSum, Col: 1}, {Func: AggMin, Col: 2},
 	})

@@ -234,111 +234,32 @@ type scanScratch struct {
 	nulls *types.NullMask
 }
 
-// Scan streams the projection proj of rows matching all predicates and
-// visible at (readTS, self), one batch per zone, to fn; fn returning
-// false stops the scan. It returns pruning statistics.
+// Scan is the morsel scan: it streams the projection proj of rows
+// matching all predicates and visible at (readTS, self) to fn. Zones are
+// dealt to up to workers goroutines through an atomic cursor and fn is
+// invoked CONCURRENTLY — one call per delivered batch, from the
+// goroutine of the worker that produced it, carrying that worker's id
+// (0..workers-1). There is no cross-worker serialization; callers own
+// per-worker sinks (thread-local aggregation state, per-worker build
+// stores). With one worker (or a one-zone segment) the scan runs inline
+// on the caller's goroutine, in zone order.
 //
 // The scan is filter-then-gather: the per-segment zone map is consulted
-// first (a fully excluded segment does no per-zone work at all), then
-// per-zone maps prune, then each predicate narrows a selection vector
-// over bulk-decoded filter-column values — dictionary predicates
-// compare raw codes and never materialize strings — and only rows that
-// survive every predicate have their projected columns gathered.
+// before any worker is started or morsel dealt (a segment whose
+// summaries exclude the predicates costs one map probe, no goroutines
+// and no decoded bytes), then per-zone maps prune, then each predicate
+// narrows a selection vector over bulk-decoded filter-column values —
+// dictionary predicates compare raw codes and never materialize
+// strings — and only rows that survive every predicate have their
+// projected columns gathered.
 //
-// Each delivered batch is freshly allocated and may be retained by fn;
-// the pooled, transient-batch variant is ScanParallel.
-func (s *Segment) Scan(readTS, self uint64, proj []int, preds []Predicate, fn func(b *types.Batch) bool) ScanStats {
-	var stats ScanStats
-	if s.n == 0 {
-		return stats
-	}
-	nz := s.NumZones()
-	stats.SegmentsTotal = 1
-	stats.ZonesTotal = nz
-	if !s.canMatch(preds) {
-		stats.SegmentsPruned = 1
-		stats.ZonesPruned = nz
-		return stats
-	}
-	projSchema := s.projSchema(proj)
-	sc := &scanScratch{sel: make([]int, 0, ZoneSize)}
-	emit := func(sel []int) bool {
-		batch := types.NewBatch(projSchema, len(sel))
-		s.fillBatch(batch, proj, sel, sc, &stats)
-		return fn(batch)
-	}
-	s.scanZones(0, nz, readTS, self, preds, sc, &stats, emit)
-	return stats
-}
-
-// ScanParallel is the morsel-parallel variant of Scan: zones are dealt
-// to a bounded pool of workers through an atomic cursor, each worker
-// narrows its own selection vector and materializes survivors into
-// batches drawn from a per-worker BatchPool, and fn observes one batch
-// at a time under a mutex (zone order is not preserved). The batch
-// passed to fn is pooled: it is valid only until fn returns, so
-// retainers must Copy it. Stats are merged across workers.
-//
-// done, when non-nil, cancels the scan: workers check it between zones
-// (and before delivering a batch) and exit promptly once it is closed,
-// so a cancelled query releases its morsel workers within one zone's
-// worth of work. A nil done never cancels.
-func (s *Segment) ScanParallel(readTS, self uint64, proj []int, preds []Predicate, workers int, done <-chan struct{}, fn func(b *types.Batch) bool) ScanStats {
-	nz := (s.n + ZoneSize - 1) / ZoneSize
-	if workers > nz {
-		workers = nz
-	}
-	if workers <= 1 {
-		if done == nil {
-			return s.Scan(readTS, self, proj, preds, fn)
-		}
-		return s.Scan(readTS, self, proj, preds, func(b *types.Batch) bool {
-			select {
-			case <-done:
-				return false
-			default:
-			}
-			return fn(b)
-		})
-	}
-	// Funnel the per-worker scan through one mutex so fn observes a
-	// single batch at a time (the legacy single-consumer contract; the
-	// exec pipeline driver consumes per-worker instead).
-	var (
-		deliver sync.Mutex
-		stopped bool
-	)
-	return s.ScanParallelWorkers(readTS, self, proj, preds, workers, done, func(_ int, b *types.Batch) bool {
-		deliver.Lock()
-		defer deliver.Unlock()
-		if stopped || IsDone(done) {
-			return false
-		}
-		if !fn(b) {
-			stopped = true
-			return false
-		}
-		return true
-	})
-}
-
-// ScanParallelWorkers is the per-worker morsel scan beneath ScanParallel
-// and the exec pipeline driver: zones are dealt to up to workers
-// goroutines through an atomic cursor and fn is invoked CONCURRENTLY —
-// one call per delivered batch, from the goroutine of the worker that
-// produced it, carrying that worker's id (0..workers-1). There is no
-// cross-worker serialization; callers own per-worker sinks (thread-local
-// aggregation state, per-worker build stores). Each delivered batch is
-// worker-owned and valid only until fn returns. fn returning false stops
-// the whole scan. Stats merge across workers; done cancels between zones
-// as in ScanParallel. All workers have exited when the call returns.
-//
-// The per-segment zone map is consulted BEFORE any worker is started or
-// morsel dealt: a segment whose summaries exclude the predicates costs
-// one map probe, no goroutines, and no decoded bytes.
+// Each delivered batch is worker-owned and valid only until fn returns
+// (retainers must Copy it). fn returning false stops the whole scan.
+// done, when non-nil, cancels the scan between zones. Stats merge
+// across workers. All workers have exited when the call returns.
 //
 //oadb:allow-ctxscan cancellation is the done channel (hot path avoids ctx plumbing per zone); callers thread ctx.Done() into done
-func (s *Segment) ScanParallelWorkers(readTS, self uint64, proj []int, preds []Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) ScanStats {
+func (s *Segment) Scan(readTS, self uint64, proj []int, preds []Predicate, workers int, done <-chan struct{}, fn func(worker int, b *types.Batch) bool) ScanStats {
 	var total ScanStats
 	if s.n == 0 {
 		return total
@@ -361,13 +282,20 @@ func (s *Segment) ScanParallelWorkers(readTS, self uint64, proj []int, preds []P
 	)
 	runWorker := func(w int) ScanStats {
 		sc := &scanScratch{sel: make([]int, 0, ZoneSize)}
-		batch := types.NewBatch(projSchema, ZoneSize)
+		// The batch is created on the first emit, sized to its
+		// selection, so a highly selective scan never allocates a
+		// full zone's worth of vectors.
+		var batch *types.Batch
 		var local ScanStats
 		emit := func(sel []int) bool {
 			if stopped.Load() || IsDone(done) {
 				return false
 			}
-			batch.Reset()
+			if batch == nil {
+				batch = types.NewBatch(projSchema, len(sel))
+			} else {
+				batch.Reset()
+			}
 			s.fillBatch(batch, proj, sel, sc, &local)
 			if !fn(w, batch) {
 				stopped.Store(true)

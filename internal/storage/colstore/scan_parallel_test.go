@@ -2,9 +2,13 @@ package colstore
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
+	"sync"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/txn"
 	"repro/internal/types"
 )
 
@@ -37,16 +41,108 @@ func buildParallelSegment(n int) *Segment {
 	return b.Build()
 }
 
+// scanRows runs the morsel scan with the given worker count and returns
+// the delivered rows as sorted keys (a multiset: batch order across
+// workers is unspecified) plus the scan statistics.
+func scanRows(seg *Segment, readTS, self uint64, proj []int, preds []Predicate, workers int) ([]string, ScanStats) {
+	var mu sync.Mutex
+	var got []string
+	stats := seg.Scan(readTS, self, proj, preds, workers, nil, func(_ int, b *types.Batch) bool {
+		mu.Lock()
+		defer mu.Unlock()
+		for r := 0; r < b.Len(); r++ {
+			got = append(got, rowKey(b.Row(r)))
+		}
+		return true
+	})
+	sort.Strings(got)
+	return got, stats
+}
+
+// referenceRows is the row-at-a-time reference the scan is checked
+// against (naiveScan: Segment.Row, RowVisible, Predicate.Matches),
+// projected and returned as sorted keys.
+func referenceRows(seg *Segment, readTS, self uint64, proj []int, preds []Predicate) []string {
+	var want []string
+	for _, row := range naiveScan(seg, readTS, self, preds) {
+		out := make(types.Row, len(proj))
+		for i, ci := range proj {
+			out[i] = row[ci]
+		}
+		want = append(want, rowKey(out))
+	}
+	sort.Strings(want)
+	return want
+}
+
+// TestScanMatchesReference checks the morsel scan at 1, 2 and 4 workers
+// against the row-at-a-time reference over random predicate stacks
+// (NULL literals, IS [NOT] NULL, dictionary strings, absent values),
+// committed and uncommitted deletes, and several snapshots, including
+// the deleting transaction's own view.
+func TestScanMatchesReference(t *testing.T) {
+	const n = 6*ZoneSize + 77
+	seg := buildSkipSegment(t, n)
+	// Rows were merged at ts 1; delete some at ts 20 and 40, and leave
+	// some with an uncommitted delete by transaction self.
+	self := txn.TxnBase + 7
+	for i := 0; i < n; i += 5 {
+		switch i % 3 {
+		case 0:
+			seg.delTS[i].Store(20)
+		case 1:
+			seg.delTS[i].Store(40)
+		default:
+			seg.delTS[i].Store(self)
+		}
+	}
+	snapshots := []struct{ readTS, self uint64 }{{10, 0}, {30, 0}, {50, 0}, {50, self}}
+	pool := predPool()
+	rng := rand.New(rand.NewSource(7))
+	projs := [][]int{{0, 1, 2, 3}, {2}, {3, 0}}
+	for trial := 0; trial < 120; trial++ {
+		np := rng.Intn(3)
+		preds := make([]Predicate, 0, np)
+		for len(preds) < np {
+			col := rng.Intn(4)
+			op := allOps[rng.Intn(len(allOps))]
+			var lit types.Value
+			switch {
+			case op == OpIsNull || op == OpIsNotNull:
+			case rng.Intn(8) == 0:
+				lit = types.NewNull(skipSchema().Cols[col].Type)
+			default:
+				lit = pool[col][rng.Intn(len(pool[col]))]
+			}
+			preds = append(preds, Predicate{Col: col, Op: op, Val: lit})
+		}
+		snap := snapshots[rng.Intn(len(snapshots))]
+		proj := projs[rng.Intn(len(projs))]
+		want := referenceRows(seg, snap.readTS, snap.self, proj, preds)
+		var oneStats ScanStats
+		for _, workers := range []int{1, 2, 4} {
+			got, stats := scanRows(seg, snap.readTS, snap.self, proj, preds, workers)
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d workers=%d snap=%+v preds=%v: %d rows, reference %d",
+					trial, workers, snap, preds, len(got), len(want))
+			}
+			if workers == 1 {
+				oneStats = stats
+			} else if stats != oneStats {
+				t.Fatalf("trial %d workers=%d: stats %+v != one-worker %+v", trial, workers, stats, oneStats)
+			}
+		}
+	}
+}
+
 type scanTotals struct {
 	rows int
 	sumV int64
-	sumF float64
 }
 
 func drain(seg *Segment, workers int, preds []Predicate) (scanTotals, ScanStats) {
-	var tot scanTotals
 	var sumV, rows atomic.Int64
-	fn := func(b *types.Batch) bool {
+	stats := seg.Scan(100, 0, []int{0, 1, 2, 3}, preds, workers, nil, func(_ int, b *types.Batch) bool {
 		rows.Add(int64(b.Len()))
 		vc := b.Cols[1]
 		for i := 0; i < b.Len(); i++ {
@@ -56,18 +152,12 @@ func drain(seg *Segment, workers int, preds []Predicate) (scanTotals, ScanStats)
 			}
 		}
 		return true
-	}
-	var stats ScanStats
-	if workers <= 1 {
-		stats = seg.Scan(100, 0, []int{0, 1, 2, 3}, preds, fn)
-	} else {
-		stats = seg.ScanParallel(100, 0, []int{0, 1, 2, 3}, preds, workers, nil, fn)
-	}
-	tot.rows = int(rows.Load())
-	tot.sumV = sumV.Load()
-	return tot, stats
+	})
+	return scanTotals{rows: int(rows.Load()), sumV: sumV.Load()}, stats
 }
 
+// TestScanParallelMatchesSerial: more workers deliver the one-worker
+// scan's rows and report identical statistics.
 func TestScanParallelMatchesSerial(t *testing.T) {
 	seg := buildParallelSegment(8*ZoneSize + 123)
 	for _, preds := range [][]Predicate{
@@ -91,7 +181,7 @@ func TestScanParallelMatchesSerial(t *testing.T) {
 
 func TestScanParallelVisibility(t *testing.T) {
 	// Rows merged at different versions: only those at or before the
-	// read snapshot are visible, identically in both scan modes.
+	// read snapshot are visible, identically at every worker count.
 	schema := types.MustSchema([]types.Column{{Name: "id", Type: types.Int64}}, "id")
 	b := NewBuilder(schema, 50)
 	const n = 4 * ZoneSize
@@ -100,21 +190,12 @@ func TestScanParallelVisibility(t *testing.T) {
 	}
 	seg := b.Build()
 	for _, readTS := range []uint64{9, 15, 40} {
-		count := func(workers int) (int, ScanStats) {
-			got := 0
-			var stats ScanStats
-			fn := func(batch *types.Batch) bool { got += batch.Len(); return true }
-			if workers <= 1 {
-				stats = seg.Scan(readTS, 0, []int{0}, nil, fn)
-			} else {
-				stats = seg.ScanParallel(readTS, 0, []int{0}, nil, workers, nil, fn)
-			}
-			return got, stats
-		}
-		serial, serialStats := count(1)
-		parallel, parStats := count(4)
-		if serial != parallel || serialStats != parStats {
-			t.Errorf("readTS=%d: serial %d/%+v != parallel %d/%+v", readTS, serial, serialStats, parallel, parStats)
+		want := len(naiveScan(seg, readTS, 0, nil))
+		serial, serialStats := scanRows(seg, readTS, 0, []int{0}, nil, 1)
+		parallel, parStats := scanRows(seg, readTS, 0, []int{0}, nil, 4)
+		if len(serial) != want || len(parallel) != want || serialStats != parStats {
+			t.Errorf("readTS=%d: serial %d/%+v, parallel %d/%+v, reference %d",
+				readTS, len(serial), serialStats, len(parallel), parStats, want)
 		}
 	}
 }
@@ -122,7 +203,7 @@ func TestScanParallelVisibility(t *testing.T) {
 func TestScanParallelEarlyStop(t *testing.T) {
 	seg := buildParallelSegment(16 * ZoneSize)
 	var delivered atomic.Int64
-	stats := seg.ScanParallel(100, 0, []int{0}, nil, 4, nil, func(b *types.Batch) bool {
+	stats := seg.Scan(100, 0, []int{0}, nil, 4, nil, func(_ int, b *types.Batch) bool {
 		return delivered.Add(1) < 3
 	})
 	if got := delivered.Load(); got < 3 {
@@ -134,40 +215,46 @@ func TestScanParallelEarlyStop(t *testing.T) {
 	}
 }
 
-// TestScanParallelBatchTransient documents the pooled-batch contract:
-// a batch retained beyond the callback is reused, so retainers must
-// Copy. The Copy must survive intact.
+// TestScanParallelBatchTransient documents the batch contract: a batch
+// retained beyond the callback is reused, so retainers must Copy. The
+// Copy must survive intact.
 func TestScanParallelBatchTransient(t *testing.T) {
 	seg := buildParallelSegment(6 * ZoneSize)
-	var copies []*types.Batch
-	seg.ScanParallel(100, 0, []int{0, 1}, nil, 2, nil, func(b *types.Batch) bool {
-		copies = append(copies, b.Copy())
-		return true
-	})
-	total := 0
-	var sum int64
-	for _, b := range copies {
-		total += b.Len()
-		c := b.Cols[0]
-		for i := 0; i < b.Len(); i++ {
-			sum += c.Ints[i]
+	for _, workers := range []int{1, 2} {
+		var mu sync.Mutex
+		var copies []*types.Batch
+		seg.Scan(100, 0, []int{0, 1}, nil, workers, nil, func(_ int, b *types.Batch) bool {
+			c := b.Copy()
+			mu.Lock()
+			copies = append(copies, c)
+			mu.Unlock()
+			return true
+		})
+		total := 0
+		var sum int64
+		for _, b := range copies {
+			total += b.Len()
+			c := b.Cols[0]
+			for i := 0; i < b.Len(); i++ {
+				sum += c.Ints[i]
+			}
 		}
-	}
-	want := 6 * ZoneSize
-	if total != want {
-		t.Fatalf("copied rows = %d, want %d", total, want)
-	}
-	var wantSum int64
-	for i := 0; i < want; i++ {
-		wantSum += int64(i)
-	}
-	if sum != wantSum {
-		t.Fatalf("sum over copies = %d, want %d", sum, wantSum)
+		want := 6 * ZoneSize
+		if total != want {
+			t.Fatalf("workers=%d: copied rows = %d, want %d", workers, total, want)
+		}
+		var wantSum int64
+		for i := 0; i < want; i++ {
+			wantSum += int64(i)
+		}
+		if sum != wantSum {
+			t.Fatalf("workers=%d: sum over copies = %d, want %d", workers, sum, wantSum)
+		}
 	}
 }
 
 func TestScanParallelSingleZoneFallsBack(t *testing.T) {
-	seg := buildParallelSegment(100) // one zone: ScanParallel degrades to Scan
+	seg := buildParallelSegment(100) // one zone: the scan runs one worker inline
 	got, stats := drain(seg, 8, nil)
 	want, wantStats := drain(seg, 1, nil)
 	if got != want || stats != wantStats {

@@ -148,7 +148,7 @@ type Segment struct {
 	cols     []column
 	zones    [][]Zone // zones[col][zone]
 	// summary[col] folds that column's zones into one segment-level
-	// min/max/null-count — the map ScanParallelWorkers consults to skip
+	// min/max/null-count — the map Scan consults to skip
 	// the whole segment before any morsel is dealt or worker woken.
 	summary []Zone
 	// insTS[i] is the commit timestamp of the version merged into row i;

@@ -506,3 +506,54 @@ func TestConcurrentReadersSeeConsistentSnapshot(t *testing.T) {
 	close(stop)
 	writerWG.Wait()
 }
+
+// TestReaderMidCommitSeesNeitherWrite pauses a committer between the
+// stamps of its two writes and begins a reader there: snapshot
+// isolation requires the reader to see neither write, never one half of
+// the transfer.
+func TestReaderMidCommitSeesNeitherWrite(t *testing.T) {
+	o := txn.NewOracle()
+	s, _ := New(testSchema())
+	t0 := o.Begin()
+	s.Insert(t0, row(1, "a", 50))
+	s.Insert(t0, row(2, "b", 50))
+	mustCommit(t, t0)
+
+	tx := o.Begin()
+	if err := s.Update(tx, key(1), row(1, "a", 40)); err != nil {
+		t.Fatal(err)
+	}
+	paused, resume := make(chan struct{}), make(chan struct{})
+	tx.OnCommit(func(uint64) { // runs after the first write's stamp
+		close(paused)
+		<-resume
+	})
+	if err := s.Update(tx, key(2), row(2, "b", 60)); err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan error, 1)
+	go func() {
+		_, err := tx.Commit()
+		committed <- err
+	}()
+	<-paused
+	mid := o.Begin()
+	r1, ok1 := s.Get(mid, key(1))
+	r2, ok2 := s.Get(mid, key(2))
+	close(resume)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if !ok1 || !ok2 || r1[2].I != 50 || r2[2].I != 50 {
+		t.Fatalf("reader begun mid-commit saw %v + %v, want 50 + 50", r1, r2)
+	}
+	mid.Abort()
+
+	after := o.Begin()
+	defer after.Abort()
+	r1, _ = s.Get(after, key(1))
+	r2, _ = s.Get(after, key(2))
+	if r1[2].I != 40 || r2[2].I != 60 {
+		t.Fatalf("reader after commit saw %v + %v, want 40 + 60", r1, r2)
+	}
+}

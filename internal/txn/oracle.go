@@ -34,8 +34,13 @@ func IsCommittedTS(ts uint64) bool { return ts < TxnBase }
 // transactions so storage can compute a safe watermark (the oldest
 // snapshot still in use), which gates delta-merge and version GC.
 type Oracle struct {
-	commitTS atomic.Uint64 // last issued commit timestamp
+	commitTS atomic.Uint64 // last published commit timestamp
 	nextTxn  atomic.Uint64 // next transaction id (offset by TxnBase)
+
+	// commitMu serializes commits from timestamp choice to publication,
+	// so commitTS only ever names a timestamp whose writes are all
+	// stamped.
+	commitMu sync.Mutex
 
 	mu     sync.Mutex
 	active map[uint64]uint64 // txn id -> read timestamp
@@ -64,8 +69,19 @@ func (o *Oracle) Begin() *Txn {
 // get).
 func (o *Oracle) Now() uint64 { return o.commitTS.Load() }
 
-// allocCommitTS advances the clock and returns a fresh commit timestamp.
-func (o *Oracle) allocCommitTS() uint64 { return o.commitTS.Add(1) }
+// commit runs stamp with the next commit timestamp and only then
+// publishes that timestamp to the clock Begin reads. A reader that
+// begins while the writes are being stamped gets the previous
+// timestamp and sees none of them; one that begins after sees all of
+// them. Commits stamp and publish one at a time, in timestamp order.
+func (o *Oracle) commit(stamp func(ts uint64)) uint64 {
+	o.commitMu.Lock()
+	defer o.commitMu.Unlock()
+	ts := o.commitTS.Load() + 1
+	stamp(ts)
+	o.commitTS.Store(ts)
+	return ts
+}
 
 // finish unregisters a transaction.
 func (o *Oracle) finish(id uint64) {

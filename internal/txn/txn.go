@@ -61,7 +61,9 @@ type Txn struct {
 // Status returns the transaction state.
 func (t *Txn) Status() Status { return Status(t.status.Load()) }
 
-// OnCommit registers a hook to run with the commit timestamp.
+// OnCommit registers a hook to run with the commit timestamp. Hooks
+// run while the oracle holds its commit lock, so they must be short and
+// must not commit another transaction.
 func (t *Txn) OnCommit(fn func(commitTS uint64)) { t.onCommit = append(t.onCommit, fn) }
 
 // OnAbort registers a hook to undo a provisional write.
@@ -71,17 +73,20 @@ func (t *Txn) OnAbort(fn func()) { t.onAbort = append(t.onAbort, fn) }
 // or abort) — strict two-phase locking.
 func (t *Txn) AddUnlocker(fn func()) { t.unlockers = append(t.unlockers, fn) }
 
-// Commit finalizes the transaction: it allocates a commit timestamp,
-// stamps every provisional write, releases locks, and unregisters from
-// the oracle.
+// Commit finalizes the transaction: it takes the next commit
+// timestamp, stamps every provisional write through the onCommit hooks,
+// publishes the timestamp to new snapshots only once every hook has
+// run (so no snapshot sees half a commit), releases locks, and
+// unregisters from the oracle.
 func (t *Txn) Commit() (uint64, error) {
 	if !t.status.CompareAndSwap(int32(StatusActive), int32(StatusCommitted)) {
 		return 0, ErrFinished
 	}
-	ts := t.oracle.allocCommitTS()
-	for _, fn := range t.onCommit {
-		fn(ts)
-	}
+	ts := t.oracle.commit(func(ts uint64) {
+		for _, fn := range t.onCommit {
+			fn(ts)
+		}
+	})
 	t.releaseLocks()
 	t.oracle.finish(t.ID)
 	return ts, nil

@@ -120,35 +120,31 @@ func TestBatchCopyDetaches(t *testing.T) {
 	}
 }
 
-func TestBatchPoolReuse(t *testing.T) {
+// TestBatchResetReuse pins the reuse the scan workers rely on: a Reset
+// batch keeps its backing arrays, carries no stale null bits, and
+// refills without allocating.
+func TestBatchResetReuse(t *testing.T) {
 	s := MustSchema([]Column{{"id", Int64}})
-	p := NewBatchPool(s, 16)
-	b := p.Get()
+	b := NewBatch(s, 16)
 	b.AppendRow(Row{NewInt(1)})
 	b.AppendRow(Row{NewNull(Int64)})
-	p.Put(b)
-	b2 := p.Get()
-	if b2 != b {
-		t.Fatal("pool did not reuse the batch")
+	b.Reset()
+	if b.Len() != 0 {
+		t.Fatal("batch not reset")
 	}
-	if b2.Len() != 0 {
-		t.Fatal("pooled batch not reset")
+	b.AppendRow(Row{NewInt(7)})
+	if b.Cols[0].IsNull(0) {
+		t.Fatal("stale null bit after reuse")
 	}
-	b2.AppendRow(Row{NewInt(7)})
-	if b2.Cols[0].IsNull(0) {
-		t.Fatal("stale null bit after pooled reuse")
-	}
-	p.Put(b2)
 	// Steady state must not allocate.
 	vals := []int64{1, 2, 3, 4}
 	allocs := testing.AllocsPerRun(10, func() {
-		x := p.Get()
+		b.Reset()
 		for i := 0; i < 4; i++ {
-			x.Cols[0].AppendInts(vals, nil, nil)
+			b.Cols[0].AppendInts(vals, nil, nil)
 		}
-		p.Put(x)
 	})
 	if allocs > 0 {
-		t.Fatalf("pooled Get/fill/Put allocated %.1f times", allocs)
+		t.Fatalf("Reset/fill allocated %.1f times", allocs)
 	}
 }
